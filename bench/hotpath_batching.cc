@@ -1,19 +1,19 @@
-// Hot-path batching sweep: the pre-PR probe path (full per-target packet
-// build into a heap-allocated buffer, full RFC 1071 checksum — the build
-// algorithm is preserved behind ScanConfig::legacy_hot_path, and the
-// pre-pool heap allocation behind BytePool::HeapFallbackScope) against the
-// template path (cached frame, destination/keyed-field patch, incremental
-// checksum, pool buffers), per probe module.
+// Hot-path batching sweep: the reference probe build (make_probe: full
+// per-target packet build into a heap-allocated buffer, full RFC 1071
+// checksum; the pre-pool heap allocation restored behind
+// BytePool::HeapFallbackScope) against the template path (cached frame,
+// destination/keyed-field patch, incremental checksum, pool buffers), per
+// probe module.
 //
 // Two measurements:
 //  1. Generation throughput on the standard 2^20-target draw from the
 //     paper's 2400::/8-40 space — permutation, address synthesis and probe
 //     construction, single thread. This isolates the per-probe cost the
-//     tentpole attacks and must show >= 2x (enforced; CI runs this).
-//  2. End-to-end simulated scan (classic single-thread scanner on the
-//     paper world) with legacy_hot_path on vs. off — informational, since
-//     hop simulation dominates there, and doubles as a byte-identity check:
-//     both paths must discover identical responder sets.
+//     template path attacks and must show >= 2x (enforced; CI runs this).
+//  2. End-to-end simulated scan (single-thread scanner on the paper world)
+//     with bulk delivery, plus one run on the per-packet path
+//     (Network::set_bulk_enabled(false)) as a byte-identity check: both
+//     must send the same probes and discover identical responder sets.
 //
 // Emits BENCH_hotpath_batching.json for tools/check_bench_regression.py.
 #include <algorithm>
@@ -114,13 +114,13 @@ struct SimResult {
   std::uint64_t events = 0;
 };
 
-// End-to-end classic scanner on the paper world (window from env, default
-// 2^10 per ISP) with the hot path selected by `legacy`. A scan consumes
+// End-to-end scanner on the paper world (window from env, default 2^10 per
+// ISP), bulk delivery on or off per `bulk`. A scan consumes
 // its permutation, so each rep builds a fresh world; the timer covers only
 // the run — Network::prepare() hoists route-index compilation and the
 // first rep warms the allocator pools, the same steady-state protocol as
 // generation_sweep's best-of reps.
-SimResult sim_scan(bool legacy, int window_bits, int reps) {
+SimResult sim_scan(bool bulk, int window_bits, int reps) {
   static const scan::IcmpEchoProbe module{64};
   SimResult best;
   for (int rep = 0; rep < reps; ++rep) {
@@ -134,7 +134,7 @@ SimResult sim_scan(bool legacy, int window_bits, int reps) {
     cfg.source = *net::Ipv6Address::parse("2001:500::1");
     cfg.seed = 7;
     cfg.probes_per_sec = 1e9;  // unthrottled: measure engine cost
-    cfg.legacy_hot_path = legacy;
+    world.net.set_bulk_enabled(bulk);
     auto* scanner = world.net.make_node<scan::SimChannelScanner>(cfg, module);
     const int iface = topo::attach_vantage(
         world.net, world.internet, scanner, *net::Ipv6Prefix::parse(
@@ -236,24 +236,19 @@ int main() {
   std::printf("\nend-to-end sim scan, paper world, window 2^%d per ISP "
               "(hop simulation included, best of 5 runs):\n",
               window_bits);
-  const SimResult legacy = sim_scan(/*legacy=*/true, window_bits, 5);
-  const SimResult batched = sim_scan(/*legacy=*/false, window_bits, 5);
+  const SimResult batched = sim_scan(/*bulk=*/true, window_bits, 5);
+  const SimResult per_packet = sim_scan(/*bulk=*/false, window_bits, 1);
   const double batched_evpp =
       static_cast<double>(batched.events) / static_cast<double>(batched.sent);
-  std::printf("  legacy : %8.4f s  %llu probes  %.0f pps  %zu responders\n",
-              legacy.wall_seconds,
-              static_cast<unsigned long long>(legacy.sent),
-              static_cast<double>(legacy.sent) / legacy.wall_seconds,
-              legacy.unique);
   std::printf("  batched: %8.4f s  %llu probes  %.0f pps  %zu responders  "
               "%.2f events/probe\n",
               batched.wall_seconds,
               static_cast<unsigned long long>(batched.sent),
               static_cast<double>(batched.sent) / batched.wall_seconds,
               batched.unique, batched_evpp);
-  json.add("sim_scan_legacy_pps",
-           static_cast<double>(legacy.sent) / legacy.wall_seconds,
-           "probes/s");
+  std::printf("  per-packet reference: %llu probes  %zu responders\n",
+              static_cast<unsigned long long>(per_packet.sent),
+              per_packet.unique);
   json.add("sim_scan_batched_pps",
            static_cast<double>(batched.sent) / batched.wall_seconds,
            "probes/s");
@@ -267,11 +262,13 @@ int main() {
            /*higher_is_better=*/false);
   json.write();
 
-  if (legacy.sent != batched.sent || legacy.unique != batched.unique) {
+  if (per_packet.sent != batched.sent ||
+      per_packet.unique != batched.unique) {
     std::fprintf(stderr,
-                 "FAIL: legacy and batched scans diverged "
+                 "FAIL: per-packet and batched scans diverged "
                  "(%llu/%zu vs %llu/%zu)\n",
-                 static_cast<unsigned long long>(legacy.sent), legacy.unique,
+                 static_cast<unsigned long long>(per_packet.sent),
+                 per_packet.unique,
                  static_cast<unsigned long long>(batched.sent),
                  batched.unique);
     return 1;

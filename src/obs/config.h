@@ -3,9 +3,9 @@
 // One small value type selects how much the run records: the trace level
 // (off / per-target scan events / per-packet network events), whether the
 // labeled metrics registry is populated, and whether wall-clock stage
-// profiling runs. The engine, the classic single-thread path, the CLI and
-// the JSON world spec all speak this struct; absent config means every
-// hook compiles down to a null-pointer check on the hot path.
+// profiling runs. The engine, the fabric, the CLI and the JSON world spec
+// all speak this struct; absent config means every hook compiles down to
+// a null-pointer check on the hot path.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "recover/state.h"
 
 #include <bit>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <mutex>
@@ -381,13 +382,24 @@ ParseResult parse_checkpoint(const std::string& text) {
   };
 
   std::istringstream ls;
-  // Header: "xmap-checkpoint v<version>".
-  if (!rd.next_line() || rd.line.rfind("xmap-checkpoint v", 0) != 0) {
+  // Header: "xmap-checkpoint v<version>", the version a bare decimal.
+  constexpr std::string_view kMagic = "xmap-checkpoint v";
+  if (!rd.next_line() || rd.line.rfind(kMagic, 0) != 0) {
     rd.fail("not an xmap checkpoint (bad header)");
     result.error = rd.error;
     return result;
   }
-  state.version = std::atoi(rd.line.c_str() + 17);
+  const std::string_view version =
+      std::string_view{rd.line}.substr(kMagic.size());
+  const char* version_end = version.data() + version.size();
+  const auto [parsed_end, ec] =
+      std::from_chars(version.data(), version_end, state.version);
+  if (ec != std::errc{} || parsed_end != version_end) {
+    result.error = "malformed checkpoint version 'v" + std::string{version} +
+                   "' (this build reads v" +
+                   std::to_string(kCheckpointVersion) + ")";
+    return result;
+  }
   if (state.version != kCheckpointVersion) {
     result.error = "unsupported checkpoint version v" +
                    std::to_string(state.version) + " (this build reads v" +
@@ -443,7 +455,12 @@ ParseResult parse_checkpoint(const std::string& text) {
       fp_line("rate", [&](auto& s) { return read_double(s, fp.rate_pps); }) &&
       fp_line("shard", [&](auto& s) { return read_int(s, fp.shard); }) &&
       fp_line("shards", [&](auto& s) { return read_int(s, fp.shards); }) &&
-      fp_line("threads", [&](auto& s) { return read_int(s, fp.threads); }) &&
+      fp_line("threads",
+              [&](auto& s) {
+                // The engine's worker range (engine::kMaxWorkers).
+                return read_int(s, fp.threads) && fp.threads >= 1 &&
+                       fp.threads <= 64;
+              }) &&
       fp_line("retries", [&](auto& s) { return read_int(s, fp.retries); }) &&
       fp_line("retry_spacing_ms",
               [&](auto& s) { return read_double(s, fp.retry_spacing_ms); }) &&

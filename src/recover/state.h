@@ -33,7 +33,10 @@
 
 namespace xmap::recover {
 
-inline constexpr int kCheckpointVersion = 1;
+// v2: every scan runs on the engine, so fp threads is a worker count in
+// 1..64. A v1 file may record threads 0 (a single-thread path no build
+// resumes any more), so v1 is refused by version.
+inline constexpr int kCheckpointVersion = 2;
 
 // The scan-configuration identity a checkpoint is bound to. Every field
 // that changes which packets go on the wire (or how records serialize) is
@@ -112,7 +115,7 @@ struct CheckpointState {
   obs::MetricsSnapshot metrics;
 };
 
-// Serializes to the versioned line-based text form ("xmap-checkpoint v1").
+// Serializes to the versioned line-based text form ("xmap-checkpoint v2").
 [[nodiscard]] std::string serialize_checkpoint(const CheckpointState& state);
 
 struct ParseResult {

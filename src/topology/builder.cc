@@ -64,6 +64,16 @@ ScanWindow scan_window(const IspSpec& spec, int window_bits) {
   return window;
 }
 
+GeoDb build_geo(const std::vector<IspSpec>& isps, int window_bits) {
+  GeoDb geo;
+  for (const auto& spec : isps) {
+    const ScanWindow window = scan_window(spec, window_bits);
+    geo.add(net::Ipv6Prefix{spec.block_base, window.window_lo - 1},
+            GeoInfo{spec.asn, spec.country, spec.name});
+  }
+  return geo;
+}
+
 BuiltInternet build_internet(sim::Network& net,
                              const std::vector<IspSpec>& isps,
                              const std::vector<VendorProfile>& vendors,
@@ -76,6 +86,7 @@ BuiltInternet build_internet(sim::Network& net,
   BuiltInternet out;
   out.vendors = vendors;
   out.oui = OuiDb::from_vendors(vendors);
+  out.geo = build_geo(isps, config.window_bits);
 
   struct PendingProvision {
     CpeRouter* cpe;
@@ -153,7 +164,6 @@ BuiltInternet build_internet(sim::Network& net,
                   : RouteAction::kBlackhole,
               -1});
     out.core->table().add_forward(inst.block, uplink.iface_b);
-    out.geo.add(inst.block, GeoInfo{spec.asn, spec.country, spec.name});
 
     const std::uint32_t slots = 1u << config.window_bits;
     const auto device_count =

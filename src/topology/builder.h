@@ -166,6 +166,12 @@ struct ScanWindow {
 };
 [[nodiscard]] ScanWindow scan_window(const IspSpec& spec, int window_bits);
 
+// The world's geo table: one entry per ISP's advertised block, in spec
+// order. Like scan_window a pure function of the specs and window size, so
+// store export gets its attribution without building a world.
+[[nodiscard]] GeoDb build_geo(const std::vector<IspSpec>& isps,
+                              int window_bits);
+
 // Builds the full topology into `net`. Deterministic for a given config.
 [[nodiscard]] BuiltInternet build_internet(
     sim::Network& net, const std::vector<IspSpec>& isps,

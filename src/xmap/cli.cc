@@ -98,7 +98,8 @@ Fault injection (deterministic, keyed off --fault-seed):
 
 Parallel engine:
   --threads <n>             scan with n worker threads, each walking a
-                            disjoint sub-shard of the permutation (1..64)
+                            disjoint sub-shard of the permutation (1..64,
+                            default 1)
   --status-updates-file <path|->
                             live monitor: periodic status lines plus a
                             final JSON metrics summary ('-' = stderr)
@@ -638,7 +639,7 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
     }
   }
   if (module == "traceroute" &&
-      (opts.threads > 0 || !opts.status_updates_file.empty())) {
+      (opts.threads > 1 || !opts.status_updates_file.empty())) {
     return fail(
         "--threads/--status-updates-file need a bulk probe module, not the "
         "traceroute runner");
@@ -669,7 +670,7 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
         "--flight-recorder-* need --fabric-nodes");
   }
   if (opts.fabric_nodes > 0) {
-    if (opts.threads > 0 || !opts.status_updates_file.empty()) {
+    if (opts.threads > 1 || !opts.status_updates_file.empty()) {
       return fail(
           "--fabric-nodes and --threads are different executors; fabric "
           "parallelism is --fabric-shards");

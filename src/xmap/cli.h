@@ -62,11 +62,10 @@ struct CliOptions {
   std::string metrics_file;  // --metrics-file (Prometheus text)
   bool profile = false;      // --profile (stage table on stderr at exit)
 
-  // Parallel engine: --threads routes the scan through the multi-worker
-  // executor (src/engine). 0 = flag absent, classic in-process path.
-  int threads = 0;  // --threads (1..64)
+  // Parallel engine (src/engine): every bulk-module scan runs on the
+  // multi-worker executor with this many workers.
+  int threads = 1;  // --threads (1..64)
   // Live monitor destination: empty = off, "-" = stderr, else a file path.
-  // Implies the engine path (a 1-worker executor when --threads is absent).
   std::string status_updates_file;  // --status-updates-file
   int status_interval_ms = 250;     // --status-interval-ms
 

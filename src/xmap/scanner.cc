@@ -223,9 +223,7 @@ void SimChannelScanner::start() {
   next_fresh_at_ = network()->now();
 
   // One frame build per scan; send_copy re-aims it per target.
-  if (!config_.legacy_hot_path) {
-    template_ = module_.make_template(config_.source, config_.seed);
-  }
+  template_ = module_.make_template(config_.source, config_.seed);
 
   stats_.first_send = network()->now();
   network()->loop().schedule_after(0, [this] { schedule_fresh(); });
@@ -378,7 +376,7 @@ void SimChannelScanner::schedule_fresh() {
   // connect/install_faults/set_obs call — so the network's bulk verdict is
   // final by now.
   if (use_blocks_ < 0) {
-    use_blocks_ = (!config_.adaptive_rate && !config_.legacy_hot_path &&
+    use_blocks_ = (!config_.adaptive_rate &&
                    (trace_ == nullptr ||
                     !trace_->at(obs::TraceLevel::kScan)) &&
                    network()->bulk_mode())
@@ -430,14 +428,13 @@ void SimChannelScanner::schedule_fresh() {
     return;
   }
 
-  const std::uint64_t batch = config_.legacy_hot_path ? 1 : kFreshBatch;
-  for (std::uint64_t b = 0; b < batch; ++b) {
+  for (std::uint64_t b = 0; b < kFreshBatch; ++b) {
     if (!draw_fresh(target, raw_slot)) {
       fresh_done_ = true;
       maybe_finish_sending();
       return;
     }
-    const bool last = b == batch - 1;
+    const bool last = b == kFreshBatch - 1;
     const std::uint64_t period =
         raw_slot * static_cast<std::uint64_t>(copies_);
     for (int c = 0; c < copies_; ++c) {
@@ -570,15 +567,10 @@ ScanCursor SimChannelScanner::stable_cursor() const {
 void SimChannelScanner::send_copy(const net::Ipv6Address& target, int copy) {
   obs::ScopedStageTimer timer{profile_, obs::Stage::kSend};
   --pending_sends_;
-  pkt::Bytes probe;
-  if (config_.legacy_hot_path) {
-    probe = module_.make_probe(config_.source, target, config_.seed);
-  } else {
-    // Re-aim the cached frame: patch dst + keyed fields, incremental
-    // checksum. The copy below recycles a pool block.
-    module_.patch_probe(template_, config_.source, target, config_.seed);
-    probe = template_.frame();
-  }
+  // Re-aim the cached frame: patch dst + keyed fields, incremental
+  // checksum. The copy below recycles a pool block.
+  module_.patch_probe(template_, config_.source, target, config_.seed);
+  pkt::Bytes probe = template_.frame();
   if (trace_ != nullptr) {
     if (trace_->at(obs::TraceLevel::kPacket)) {
       obs::TraceEvent e;

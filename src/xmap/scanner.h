@@ -86,11 +86,6 @@ struct ScanConfig {
   // Send times become load-dependent, so this intentionally trades the
   // cross-thread-count byte-identical guarantee for resilience.
   bool adaptive_rate = false;
-  // Escape hatch (and benchmark baseline): rebuild every probe from
-  // scratch with make_probe() and draw fresh targets one at a time,
-  // instead of the template-patching, block-batched hot path. Output is
-  // byte-identical either way.
-  bool legacy_hot_path = false;
 };
 
 // A worker's resumable permutation position. spec_steps[i] is the number
@@ -255,7 +250,7 @@ class SimChannelScanner : public sim::Node {
   int iface_ = 0;
 
   // Cached probe frame, re-aimed per target by ProbeModule::patch_probe
-  // (built in start() unless legacy_hot_path).
+  // (built in start()).
   ProbeTemplate template_;
 
   // Permutation state: one group+iterator per target spec. `raw_base` is

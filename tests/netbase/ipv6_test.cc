@@ -69,6 +69,10 @@ struct BadInput {
   const char* why;
 };
 
+// Labels each case by its reason; without it gtest prints the raw pointer
+// bytes, and test names would change between builds.
+void PrintTo(const BadInput& bad, std::ostream* os) { *os << bad.why; }
+
 class Ipv6ParseRejects : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(Ipv6ParseRejects, Rejects) {

@@ -66,7 +66,12 @@ TEST(Json, TypedGetters) {
 
 struct BadJson {
   const char* text;
+  const char* name;
 };
+
+// Gives each case a readable, build-independent label; without it gtest
+// prints the raw pointer bytes, and test names would change between builds.
+void PrintTo(const BadJson& bad, std::ostream* os) { *os << bad.name; }
 
 class JsonRejects : public ::testing::TestWithParam<BadJson> {};
 
@@ -78,14 +83,22 @@ TEST_P(JsonRejects, Rejects) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, JsonRejects,
-    ::testing::Values(BadJson{""}, BadJson{"{"}, BadJson{"["},
-                      BadJson{"{\"a\": }"}, BadJson{"{\"a\" 1}"},
-                      BadJson{"{a: 1}"}, BadJson{"[1, 2,]"},
-                      BadJson{"[1 2]"}, BadJson{"\"unterminated"},
-                      BadJson{"\"bad\\q\""}, BadJson{"\"\\u12g4\""},
-                      BadJson{"tru"}, BadJson{"nul"}, BadJson{"-"},
-                      BadJson{"1.2.3"}, BadJson{"{} extra"},
-                      BadJson{"\"ctrl\x01char\""}));
+    ::testing::Values(BadJson{"", "empty"}, BadJson{"{", "open_object"},
+                      BadJson{"[", "open_array"},
+                      BadJson{"{\"a\": }", "missing_value"},
+                      BadJson{"{\"a\" 1}", "missing_colon"},
+                      BadJson{"{a: 1}", "unquoted_key"},
+                      BadJson{"[1, 2,]", "trailing_comma"},
+                      BadJson{"[1 2]", "missing_comma"},
+                      BadJson{"\"unterminated", "unterminated_string"},
+                      BadJson{"\"bad\\q\"", "bad_escape"},
+                      BadJson{"\"\\u12g4\"", "bad_unicode_escape"},
+                      BadJson{"tru", "truncated_true"},
+                      BadJson{"nul", "truncated_null"},
+                      BadJson{"-", "lone_minus"},
+                      BadJson{"1.2.3", "two_decimal_points"},
+                      BadJson{"{} extra", "trailing_text"},
+                      BadJson{"\"ctrl\x01char\"", "control_char"}));
 
 TEST(Json, ErrorPositionsAreUseful) {
   auto result = json_parse("{\n  \"a\": oops\n}");

@@ -194,11 +194,18 @@ TEST(CheckpointState, ExactDoubleRoundTrip) {
 }
 
 TEST(CheckpointState, RejectsUnknownVersion) {
-  std::string text = serialize_checkpoint(sample_state());
-  text.replace(0, text.find('\n'), "xmap-checkpoint v99");
-  auto parsed = parse_checkpoint(text);
-  ASSERT_FALSE(parsed.state.has_value());
-  EXPECT_NE(parsed.error.find("v99"), std::string::npos) << parsed.error;
+  // Other versions (v1 is the pre-engine-only format) and malformed
+  // headers are refused with a diagnostic naming the version as written.
+  for (const char* version : {"v99", "v1", "v2junk", "v"}) {
+    std::string text = serialize_checkpoint(sample_state());
+    text.replace(0, text.find('\n'),
+                 std::string{"xmap-checkpoint "} + version);
+    auto parsed = parse_checkpoint(text);
+    ASSERT_FALSE(parsed.state.has_value()) << version;
+    const std::string named =
+        std::string{version} == "v" ? "'v'" : std::string{version};
+    EXPECT_NE(parsed.error.find(named), std::string::npos) << parsed.error;
+  }
 }
 
 TEST(CheckpointState, RejectsTruncation) {
@@ -222,6 +229,18 @@ TEST(CheckpointState, RejectsGarbageWithLineDiagnostic) {
   ASSERT_FALSE(parsed.state.has_value());
   EXPECT_NE(parsed.error.find("checkpoint line"), std::string::npos)
       << parsed.error;
+
+  // A worker count outside the engine's 1..64 is refused by field name.
+  for (const char* threads : {"fp threads 0\n", "fp threads 65\n"}) {
+    std::string bad = serialize_checkpoint(sample_state());
+    const auto at = bad.find("fp threads 4\n");
+    ASSERT_NE(at, std::string::npos);
+    bad.replace(at, std::string_view{"fp threads 4\n"}.size(), threads);
+    auto rejected = parse_checkpoint(bad);
+    ASSERT_FALSE(rejected.state.has_value()) << threads;
+    EXPECT_NE(rejected.error.find("'threads'"), std::string::npos)
+        << rejected.error;
+  }
 }
 
 TEST(Fingerprint, DiffNamesEveryMismatchedField) {

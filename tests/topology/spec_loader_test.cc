@@ -83,6 +83,12 @@ struct BadDoc {
   const char* expect_fragment;  // must appear in the error
 };
 
+// Labels each case by its expected error fragment; without it gtest prints
+// the raw pointer bytes, and test names would change between builds.
+void PrintTo(const BadDoc& bad, std::ostream* os) {
+  *os << bad.expect_fragment;
+}
+
 class SpecLoaderRejects : public ::testing::TestWithParam<BadDoc> {};
 
 TEST_P(SpecLoaderRejects, Rejects) {

@@ -63,9 +63,9 @@ TEST(Cli, ParallelEngineFlags) {
   EXPECT_EQ(result.options->status_updates_file, "-");
   EXPECT_EQ(result.options->status_interval_ms, 100);
 
-  // Defaults: classic path, monitor off.
+  // Defaults: one engine worker, monitor off.
   auto plain = parse({});
-  EXPECT_EQ(plain.options->threads, 0);
+  EXPECT_EQ(plain.options->threads, 1);
   EXPECT_TRUE(plain.options->status_updates_file.empty());
   EXPECT_EQ(plain.options->status_interval_ms, 250);
 

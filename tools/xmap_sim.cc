@@ -10,13 +10,11 @@
 // Exit codes: 0 complete, 1 worker failure (partial results), 2 bad
 // config / I/O error, 3 interrupted by SIGINT/SIGTERM (resumable — a state
 // file was written; see docs/recovery.md).
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
-#include <tuple>
 
 #include "analysis/store_export.h"
 #include "engine/executor.h"
@@ -73,13 +71,10 @@ void print_stats_footer(const scan::ScanStats& stats, int threads,
     std::fprintf(stderr, ", %llu rate adjustments",
                  static_cast<unsigned long long>(stats.rate_adjustments));
   }
-  if (threads > 0) {
-    std::fprintf(stderr, ", %d workers, wall %.2fs", threads, wall_seconds);
-  }
-  std::fputc('\n', stderr);
+  std::fprintf(stderr, ", %d workers, wall %.2fs\n", threads, wall_seconds);
 }
 
-// Installs `plan` (if non-empty) on a freshly built classic-path network,
+// Installs `plan` (if non-empty) on a freshly built traceroute network,
 // registering every periphery device as a silent-window candidate.
 void install_faults(sim::Network& net, const topo::BuiltInternet& internet,
                     const sim::FaultPlan& plan) {
@@ -175,11 +170,8 @@ recover::Fingerprint make_fingerprint(const scan::CliOptions& opts,
   fp.rate_pps = opts.rate_pps;
   fp.shard = opts.shard;
   fp.shards = opts.shards;
-  // The effective worker count: the engine path runs max(threads, 1)
-  // workers, the classic path records 0. Cursor counts follow from it.
-  fp.threads = (opts.threads > 0 || !opts.status_updates_file.empty())
-                   ? std::max(opts.threads, 1)
-                   : 0;
+  // The worker count; a checkpoint's cursor count follows from it.
+  fp.threads = opts.threads;
   fp.retries = opts.retries;
   fp.retry_spacing_ms = opts.retry_spacing_ms;
   fp.cooldown_secs = opts.cooldown_secs;
@@ -198,19 +190,20 @@ recover::Fingerprint make_fingerprint(const scan::CliOptions& opts,
 // Builds and atomically writes the --store-file snapshot from the merged
 // record stream. StoreBuilder's order-independent duplicate merge plus the
 // deterministic geo/vendor sections make the written bytes a pure function
-// of (config, seed) — identical across --threads values. Works over both
-// paths' record types (each exposes .response and .when).
+// of (config, seed) — identical across --threads values. Works over the
+// engine's and the fabric's record types (each exposes .response and
+// .when).
 template <typename Records>
 bool write_store_file(const scan::CliOptions& opts,
                       const recover::Fingerprint& fingerprint,
-                      const topo::BuiltInternet& internet,
+                      const topo::GeoDb& geo, const topo::OuiDb& oui,
                       const Records& records) {
   store::StoreBuilder builder;
-  ana::fill_geo(builder, internet.geo);
+  ana::fill_geo(builder, geo);
   builder.set_config_fingerprint(ana::scan_config_fingerprint(fingerprint));
   for (const auto& record : records) {
     ana::add_response(builder, record.response,
-                      record.when / sim::kMicrosecond, internet.oui);
+                      record.when / sim::kMicrosecond, oui);
   }
   std::string error;
   if (!builder.write(opts.store_file, &error)) {
@@ -422,6 +415,12 @@ int main(int argc, char** argv) {
     return true;
   };
 
+  // Store attribution tables: pure functions of the specs and the vendor
+  // catalog, so --store-file needs no world build of its own.
+  const topo::GeoDb geo = topo::build_geo(specs, opts.window_bits);
+  const topo::OuiDb oui =
+      topo::OuiDb::from_vendors(topo::paper::vendor_catalog());
+
   // --- Distributed fabric path ---------------------------------------------
   if (opts.fabric_nodes > 0) {
     fabric::FabricConfig fcfg;
@@ -489,16 +488,9 @@ int main(int argc, char** argv) {
     }
     writer->end();
     if (!flush_output()) return kExitConfig;
-    if (!opts.store_file.empty()) {
-      // Workers build their worlds in their own threads; rebuild one on a
-      // scratch network for the deterministic geo/vendor attribution.
-      sim::Network store_net{opts.seed};
-      const auto store_internet = topo::build_internet(
-          store_net, specs, topo::paper::vendor_catalog(), build_cfg);
-      if (!write_store_file(opts, fingerprint, store_internet,
-                            result.records)) {
-        return kExitConfig;
-      }
+    if (!opts.store_file.empty() &&
+        !write_store_file(opts, fingerprint, geo, oui, result.records)) {
+      return kExitConfig;
     }
     for (const auto& error : result.worker_errors) {
       std::fprintf(stderr, "xmap_sim: fabric: %s\n", error.c_str());
@@ -562,287 +554,124 @@ int main(int argc, char** argv) {
     return kExitOk;
   }
 
+
   // --- Parallel engine path ------------------------------------------------
-  if (opts.threads > 0 || !opts.status_updates_file.empty()) {
-    // Live status streams to "<path>.tmp" (tail-able mid-scan) and is
-    // renamed into place at exit, like every other artifact.
-    std::ofstream status_file;
-    std::ostream* status_out = nullptr;
-    std::string status_tmp;
-    if (opts.status_updates_file == "-") {
-      status_out = &std::clog;  // stderr, keeps result output clean
-    } else if (!opts.status_updates_file.empty()) {
-      status_tmp = opts.status_updates_file.rfind("/dev/", 0) == 0
-                       ? opts.status_updates_file
-                       : opts.status_updates_file + ".tmp";
-      status_file.open(status_tmp);
-      if (!status_file) {
-        std::fprintf(stderr, "xmap_sim: cannot open %s\n",
-                     status_tmp.c_str());
-        return kExitConfig;
-      }
-      status_out = &status_file;
-    }
-    auto finish_status = [&] {
-      if (!status_file.is_open()) return;
-      status_file.flush();
-      status_file.close();
-      if (status_tmp != opts.status_updates_file) {
-        std::rename(status_tmp.c_str(), opts.status_updates_file.c_str());
-      }
-    };
-
-    engine::EngineConfig engine_cfg;
-    engine_cfg.world_specs = specs;
-    engine_cfg.vendors = topo::paper::vendor_catalog();
-    engine_cfg.build = build_cfg;
-    engine_cfg.module = module.module.get();
-    engine_cfg.scan = cfg;
-    engine_cfg.threads = opts.threads > 0 ? opts.threads : 1;
-    engine_cfg.status_out = status_out;
-    engine_cfg.status_interval_ms = opts.status_interval_ms;
-    engine_cfg.faults = fault_plan;
-    engine_cfg.obs = obs_cfg;
-    engine_cfg.shutdown_flag = shutdown.flag();
-    if (opts.shutdown_after_probes != 0) {
-      engine_cfg.shutdown_at_raw_slot = opts.shutdown_after_probes;
-    }
-    if (resuming) engine_cfg.resume = &resume_state;
-    if (opts.checkpoint_interval != 0) {
-      engine_cfg.checkpoint_interval_targets = opts.checkpoint_interval;
-      engine_cfg.checkpoint_file = checkpoint_path;
-      engine_cfg.checkpoint_sink = [&](recover::CheckpointState& state) {
-        (void)write_state(state);
-      };
-    }
-    auto result = engine::run_parallel_scan(engine_cfg);
-    if (!result.ok) {
-      std::fprintf(stderr, "xmap_sim: %s\n", result.error.c_str());
-      finish_status();
+  // Live status streams to "<path>.tmp" (tail-able mid-scan) and is
+  // renamed into place at exit, like every other artifact.
+  std::ofstream status_file;
+  std::ostream* status_out = nullptr;
+  std::string status_tmp;
+  if (opts.status_updates_file == "-") {
+    status_out = &std::clog;  // stderr, keeps result output clean
+  } else if (!opts.status_updates_file.empty()) {
+    status_tmp = opts.status_updates_file.rfind("/dev/", 0) == 0
+                     ? opts.status_updates_file
+                     : opts.status_updates_file + ".tmp";
+    status_file.open(status_tmp);
+    if (!status_file) {
+      std::fprintf(stderr, "xmap_sim: cannot open %s\n", status_tmp.c_str());
       return kExitConfig;
     }
-
-    // Records are pre-sorted deterministically by the engine (checkpoint
-    // records included), so the output stream is byte-identical across
-    // runs — interrupted-then-resumed or not — for a fixed seed.
-    writer->begin();
-    for (const auto& record : result.records) {
-      writer->record(record.response, record.when);
-    }
-    writer->end();
-    if (!flush_output()) {
-      finish_status();
-      return kExitConfig;
-    }
-    if (!opts.store_file.empty()) {
-      // The engine builds its worlds inside the workers; rebuild one on a
-      // scratch network to recover the deterministic geo/vendor attribution.
-      sim::Network store_net{opts.seed};
-      const auto store_internet = topo::build_internet(
-          store_net, specs, topo::paper::vendor_catalog(), build_cfg);
-      if (!write_store_file(opts, fingerprint, store_internet,
-                            result.records)) {
-        finish_status();
-        return kExitConfig;
-      }
-    }
-    if (!opts.quiet) {
-      print_stats_footer(result.stats, engine_cfg.threads,
-                         result.wall_seconds);
-    }
-    if (!write_obs_outputs(opts, result.trace, result.metrics_snapshot,
-                           result.stage_profile)) {
-      finish_status();
-      return kExitConfig;
-    }
-    int exit_code = kExitOk;
-    if (result.interrupted) {
-      // Quiescent shutdown checkpoint: every drawn lifecycle drained, so
-      // records, trace and metrics snapshot the scan exactly.
-      recover::CheckpointState state;
-      state.quiescent = true;
-      state.signal = shutdown.signal();
-      state.stats = result.stats;
-      for (const auto& cursor : result.cursors) {
-        state.cursors.push_back(
-            recover::WorkerCursor{cursor.spec_steps, cursor.frontier_slot});
-      }
-      for (const auto& record : result.records) {
-        state.records.push_back(recover::CheckpointRecord{
-            record.response, record.when, record.worker, record.raw_slot});
-      }
-      state.has_obs = true;
-      state.trace = result.trace;
-      state.metrics = result.metrics_snapshot;
-      if (!write_state(state)) {
-        finish_status();
-        return kExitConfig;
-      }
-      if (!opts.quiet) {
-        std::fprintf(stderr,
-                     "xmap_sim: interrupted; resume with --resume %s\n",
-                     checkpoint_path.c_str());
-      }
-      exit_code = kExitInterrupted;
-    }
-    finish_status();
-    if (result.failed_workers > 0) {
-      std::fprintf(stderr, "xmap_sim: %d worker(s) failed; results partial\n",
-                   result.failed_workers);
-      return kExitWorkerFailure;
-    }
-    return exit_code;
+    status_out = &status_file;
   }
-
-  // --- Classic single-thread in-process path -------------------------------
-  obs::TraceBuffer trace_buf{obs_cfg.trace_level};
-  obs::MetricsShard shard;
-  obs::StageProfile stage_profile;
-  obs::TraceBuffer* trace =
-      obs_cfg.trace_level != obs::TraceLevel::kOff ? &trace_buf : nullptr;
-  obs::MetricsShard* metrics = obs_cfg.metrics ? &shard : nullptr;
-  obs::StageProfile* profile = obs_cfg.profile ? &stage_profile : nullptr;
-
-  cfg.shutdown_flag = shutdown.flag();
-  if (opts.shutdown_after_probes != 0) {
-    cfg.shutdown_at_raw_slot = opts.shutdown_after_probes;
-  }
-  if (resuming) {
-    if (resume_state.cursors.size() != 1) {
-      std::fprintf(stderr,
-                   "xmap_sim: --resume %s: expected 1 cursor for the "
-                   "classic path, found %zu\n",
-                   opts.resume_file.c_str(), resume_state.cursors.size());
-      return kExitConfig;
+  auto finish_status = [&] {
+    if (!status_file.is_open()) return;
+    status_file.flush();
+    status_file.close();
+    if (status_tmp != opts.status_updates_file) {
+      std::rename(status_tmp.c_str(), opts.status_updates_file.c_str());
     }
-    cfg.resume_spec_steps = resume_state.cursors[0].spec_steps;
-  }
-
-  sim::Network net{opts.seed};
-  net.set_obs(trace, metrics);
-  auto internet = [&] {
-    obs::ScopedStageTimer build_timer{profile, obs::Stage::kBuild};
-    return topo::build_internet(net, specs, topo::paper::vendor_catalog(),
-                                build_cfg);
-  }();
-  install_faults(net, internet, fault_plan);
-  if (cfg.targets.empty()) {
-    for (const auto& isp : internet.isps) {
-      cfg.targets.push_back(
-          scan::TargetSpec{isp.scan_base, isp.window_lo, isp.window_hi});
-    }
-  }
-  auto* scanner = net.make_node<scan::SimChannelScanner>(cfg, *module.module);
-  scanner->set_obs(obs_cfg, trace, metrics, profile);
-  const int iface = topo::attach_vantage(
-      net, internet, scanner, *net::Ipv6Prefix::parse("2001:500::/48"));
-  scanner->set_iface(iface);
-
-  // Records are retained (seeded from the checkpoint when resuming) and
-  // written content-sorted at the end, the same deterministic order the
-  // engine path uses — a resumed run's output is byte-identical to an
-  // uninterrupted one.
-  struct ClassicRecord {
-    scan::ProbeResponse response;
-    sim::SimTime when = 0;
-    std::uint64_t raw_slot = 0;
   };
-  std::vector<ClassicRecord> records;
-  if (resuming) {
-    records.reserve(resume_state.records.size());
-    for (const auto& r : resume_state.records) {
-      records.push_back(ClassicRecord{r.response, r.when, r.raw_slot});
-    }
+
+  engine::EngineConfig engine_cfg;
+  engine_cfg.world_specs = specs;
+  engine_cfg.vendors = topo::paper::vendor_catalog();
+  engine_cfg.build = build_cfg;
+  engine_cfg.module = module.module.get();
+  engine_cfg.scan = cfg;
+  engine_cfg.threads = opts.threads;
+  engine_cfg.status_out = status_out;
+  engine_cfg.status_interval_ms = opts.status_interval_ms;
+  engine_cfg.faults = fault_plan;
+  engine_cfg.obs = obs_cfg;
+  engine_cfg.shutdown_flag = shutdown.flag();
+  if (opts.shutdown_after_probes != 0) {
+    engine_cfg.shutdown_at_raw_slot = opts.shutdown_after_probes;
   }
-  scanner->on_response_slotted(
-      [&records](const scan::ProbeResponse& r, sim::SimTime when,
-                 std::uint64_t raw_slot) {
-        records.push_back(ClassicRecord{r, when, raw_slot});
-      });
+  if (resuming) engine_cfg.resume = &resume_state;
   if (opts.checkpoint_interval != 0) {
-    scanner->set_checkpoint_hook(
-        opts.checkpoint_interval, [&](const scan::ScanCursor& cursor) {
-          recover::CheckpointState state;
-          state.quiescent = false;
-          state.signal = 0;
-          state.stats = scanner->stats();
-          if (resuming) state.stats += resume_state.stats;
-          state.cursors.push_back(recover::WorkerCursor{
-              cursor.spec_steps, cursor.frontier_slot});
-          for (const auto& r : records) {
-            if (r.raw_slot < cursor.frontier_slot) {
-              state.records.push_back(recover::CheckpointRecord{
-                  r.response, r.when, 0, r.raw_slot});
-            }
-          }
-          (void)write_state(state);
-        });
+    engine_cfg.checkpoint_interval_targets = opts.checkpoint_interval;
+    engine_cfg.checkpoint_file = checkpoint_path;
+    engine_cfg.checkpoint_sink = [&](recover::CheckpointState& state) {
+      (void)write_state(state);
+    };
   }
-  scanner->start();
-  net.run();
+  auto result = engine::run_parallel_scan(engine_cfg);
+  if (!result.ok) {
+    std::fprintf(stderr, "xmap_sim: %s\n", result.error.c_str());
+    finish_status();
+    return kExitConfig;
+  }
 
-  scan::ScanStats total_stats = scanner->stats();
-  if (resuming) total_stats += resume_state.stats;
-
-  std::sort(records.begin(), records.end(),
-            [](const ClassicRecord& a, const ClassicRecord& b) {
-              return std::tuple(a.when, a.response.responder,
-                                a.response.probe_dst,
-                                static_cast<int>(a.response.kind),
-                                a.raw_slot) <
-                     std::tuple(b.when, b.response.responder,
-                                b.response.probe_dst,
-                                static_cast<int>(b.response.kind),
-                                b.raw_slot);
-            });
+  // Records are pre-sorted deterministically by the engine (checkpoint
+  // records included), so the output stream is byte-identical across
+  // runs — interrupted-then-resumed or not — for a fixed seed.
   writer->begin();
-  for (const auto& record : records) {
+  for (const auto& record : result.records) {
     writer->record(record.response, record.when);
   }
   writer->end();
-  if (!flush_output()) return kExitConfig;
+  if (!flush_output()) {
+    finish_status();
+    return kExitConfig;
+  }
   if (!opts.store_file.empty() &&
-      !write_store_file(opts, fingerprint, internet, records)) {
+      !write_store_file(opts, fingerprint, geo, oui, result.records)) {
+    finish_status();
     return kExitConfig;
   }
-
-  if (!opts.quiet) print_stats_footer(total_stats, 0, 0);
-  std::vector<std::vector<obs::TraceEvent>> trace_parts;
-  trace_parts.push_back(trace_buf.take());
-  if (resuming && resume_state.has_obs) {
-    trace_parts.push_back(resume_state.trace);
+  if (!opts.quiet) {
+    print_stats_footer(result.stats, engine_cfg.threads, result.wall_seconds);
   }
-  const std::vector<obs::TraceEvent> events =
-      obs::merge_traces(std::move(trace_parts));
-  obs::MetricsSnapshot snapshot = obs::merge_shards({&shard});
-  if (resuming && resume_state.has_obs) {
-    snapshot = obs::merge_snapshots({&resume_state.metrics, &snapshot});
-  }
-  if (!write_obs_outputs(opts, events, snapshot, stage_profile)) {
+  if (!write_obs_outputs(opts, result.trace, result.metrics_snapshot,
+                         result.stage_profile)) {
+    finish_status();
     return kExitConfig;
   }
-
-  if (scanner->interrupted()) {
+  int exit_code = kExitOk;
+  if (result.interrupted) {
+    // Quiescent shutdown checkpoint: every drawn lifecycle drained, so
+    // records, trace and metrics snapshot the scan exactly.
     recover::CheckpointState state;
     state.quiescent = true;
     state.signal = shutdown.signal();
-    state.stats = total_stats;
-    const scan::ScanCursor cursor = scanner->cursor();
-    state.cursors.push_back(
-        recover::WorkerCursor{cursor.spec_steps, cursor.frontier_slot});
-    for (const auto& r : records) {
-      state.records.push_back(
-          recover::CheckpointRecord{r.response, r.when, 0, r.raw_slot});
+    state.stats = result.stats;
+    for (const auto& cursor : result.cursors) {
+      state.cursors.push_back(
+          recover::WorkerCursor{cursor.spec_steps, cursor.frontier_slot});
+    }
+    for (const auto& record : result.records) {
+      state.records.push_back(recover::CheckpointRecord{
+          record.response, record.when, record.worker, record.raw_slot});
     }
     state.has_obs = true;
-    state.trace = events;
-    state.metrics = snapshot;
-    if (!write_state(state)) return kExitConfig;
+    state.trace = result.trace;
+    state.metrics = result.metrics_snapshot;
+    if (!write_state(state)) {
+      finish_status();
+      return kExitConfig;
+    }
     if (!opts.quiet) {
       std::fprintf(stderr, "xmap_sim: interrupted; resume with --resume %s\n",
                    checkpoint_path.c_str());
     }
-    return kExitInterrupted;
+    exit_code = kExitInterrupted;
   }
-  return kExitOk;
+  finish_status();
+  if (result.failed_workers > 0) {
+    std::fprintf(stderr, "xmap_sim: %d worker(s) failed; results partial\n",
+                 result.failed_workers);
+    return kExitWorkerFailure;
+  }
+  return exit_code;
 }
