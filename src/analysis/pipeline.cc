@@ -70,13 +70,10 @@ IidHistogram iid_histogram(std::span<const scan::LastHop> hops) {
   return hist;
 }
 
-std::optional<std::string> vendor_from_address(const net::Ipv6Address& addr,
-                                               const topo::OuiDb& oui) {
+const std::string* vendor_from_address(const net::Ipv6Address& addr,
+                                       const topo::OuiDb& oui) {
   const auto mac = net::MacAddress::from_eui64_iid(addr.iid());
-  if (!mac) return std::nullopt;
-  const std::string* name = oui.lookup(mac->oui());
-  if (name == nullptr) return std::nullopt;
-  return *name;
+  return mac ? oui.lookup(mac->oui()) : nullptr;
 }
 
 std::vector<GrabResult> grab_services(sim::Network& net,

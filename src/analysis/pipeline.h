@@ -8,7 +8,6 @@
 //   loop scan       (Section VI-B)     -> h / h+2 Time-Exceeded confirmation
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -75,9 +74,10 @@ struct IidHistogram {
 // Vendor identification
 // ---------------------------------------------------------------------------
 
-// Hardware path: EUI-64 IID -> MAC -> OUI registry. nullopt for addresses
-// without an embedded MAC or with an unknown OUI.
-[[nodiscard]] std::optional<std::string> vendor_from_address(
+// Hardware path: EUI-64 IID -> MAC -> OUI registry. The registry's own
+// name (no copy), or null for addresses without an embedded MAC or with an
+// unknown OUI.
+[[nodiscard]] const std::string* vendor_from_address(
     const net::Ipv6Address& addr, const topo::OuiDb& oui);
 
 // ---------------------------------------------------------------------------

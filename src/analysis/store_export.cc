@@ -17,8 +17,8 @@ constexpr std::uint64_t kAugmentUs = ~std::uint64_t{0};
 [[nodiscard]] std::uint16_t vendor_of(store::StoreBuilder& builder,
                                       const net::Ipv6Address& addr,
                                       const topo::OuiDb& oui) {
-  const auto vendor = vendor_from_address(addr, oui);
-  return vendor ? builder.vendor_id(*vendor) : 0;
+  const std::string* vendor = vendor_from_address(addr, oui);
+  return vendor != nullptr ? builder.vendor_id(*vendor) : 0;
 }
 
 }  // namespace

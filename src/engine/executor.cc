@@ -69,6 +69,9 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
   const int threads = config.threads;
 
   scan::ScanConfig base = config.scan;
+  // Every worker reads the one blocklist; build its indexes before they
+  // start (see Blocklist::compile).
+  if (base.blocklist != nullptr) base.blocklist->compile();
   if (base.targets.empty()) base.targets = default_targets(config);
   base.shutdown_flag = config.shutdown_flag;
   base.shutdown_at_raw_slot = config.shutdown_at_raw_slot;

@@ -262,7 +262,14 @@ void ChaosProxy::Impl::write_side(Pair& pair, bool up) {
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      close_pair(pair);
+      // The destination is gone, so this direction is dead. Bytes already
+      // relayed the other way still deliver, as they would over TCP: a
+      // worker that sends after the coordinator hung up still receives
+      // the coordinator's last frames (its Bye).
+      dir.pending.clear();
+      dir.staging.clear();
+      dir.eof = true;
+      dir.dest_shut = true;
       return;
     }
     relayed.fetch_add(static_cast<std::uint64_t>(n),

@@ -128,6 +128,9 @@ FabricResult run_fabric_scan(const FabricConfig& config) {
   const auto wall_start = std::chrono::steady_clock::now();
 
   scan::ScanConfig base = config.scan;
+  // Every worker reads the one blocklist; build its indexes before they
+  // start (see Blocklist::compile).
+  if (base.blocklist != nullptr) base.blocklist->compile();
   if (base.targets.empty()) base.targets = default_targets(config);
   // The fabric owns interruption semantics (kills, failover); engine-style
   // shutdown plumbing does not cross the wire.

@@ -521,6 +521,9 @@ std::unique_ptr<TcpWorkerTransport> TcpWorkerTransport::create(
     return nullptr;
   }
   std::lock_guard lock{transport->mu_};
+  // The reconnect window of a link that never heard its coordinator runs
+  // from creation (see disconnect_locked).
+  transport->down_since_ = Clock::now();
   if (!transport->connect_locked(error)) return nullptr;
   return transport;
 }
@@ -613,7 +616,13 @@ void TcpWorkerTransport::disconnect_locked() {
   out_.clear();
   in_.reset();
   const auto now = Clock::now();
-  down_since_ = now;
+  // Only a stream that carried a frame proves the coordinator was there,
+  // so only its loss restarts the reconnect window. A listener that
+  // accepts and hangs up without a word (a relay whose upstream is gone)
+  // counts as a failed attempt; otherwise every such accept would restart
+  // the window and the worker would redial forever.
+  if (heard_) down_since_ = now;
+  heard_ = false;
   next_attempt_ = now + std::chrono::milliseconds(opt_.reconnect_delay_ms);
   if (opt_.reconnect_window_ms <= 0) closed_ = true;
 }
@@ -658,6 +667,7 @@ void TcpWorkerTransport::pump_in_locked() {
         return;
       }
       while (auto frame = in_.next()) {
+        heard_ = true;
         const std::uint8_t type = frame_type(*frame);
         if (type == static_cast<std::uint8_t>(MsgType::kRejoinOk)) {
           continue;  // handshake settled; nothing for the layers above

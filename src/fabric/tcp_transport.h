@@ -148,7 +148,9 @@ struct TcpWorkerOptions {
   int connect_timeout_ms = 2000;
   // After a socket death the transport reconnects transparently: attempts
   // every reconnect_delay_ms until reconnect_window_ms has passed since
-  // the disconnect, then latches closed. 0 window = no reconnects.
+  // the last connection that carried a frame from the coordinator was lost
+  // (or since creation, if none did), then latches closed. 0 window = no
+  // reconnects.
   int reconnect_window_ms = 1500;
   int reconnect_delay_ms = 10;
 };
@@ -208,6 +210,7 @@ class TcpWorkerTransport final : public Transport {
   std::uint32_t lease_epoch_ = 0;
   bool lease_held_ = false;
   bool ever_connected_ = false;
+  bool heard_ = false;  // the current connection has delivered a frame
   Clock::time_point down_since_{};
   Clock::time_point next_attempt_{};
   std::uint64_t reconnects_ = 0;

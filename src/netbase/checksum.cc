@@ -14,18 +14,8 @@
 namespace xmap::net {
 namespace {
 
-// Byte-order-correct 64/32/16-bit loads from possibly unaligned memory.
-// memcpy compiles to a plain (unaligned-tolerant) load on every target we
-// build for; the bswap places the bytes in RFC 1071 network order.
-XMAP_ALWAYS_INLINE std::uint64_t load_be64(const std::uint8_t* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, 8);
-  if constexpr (std::endian::native == std::endian::little) {
-    v = __builtin_bswap64(v);
-  }
-  return v;
-}
-
+// Byte-order-correct 32-bit load (the 64-bit one is load_be64 in
+// compiler.h): the bswap places the bytes in RFC 1071 network order.
 XMAP_ALWAYS_INLINE std::uint32_t load_be32(const std::uint8_t* p) {
   std::uint32_t v;
   std::memcpy(&v, p, 4);

@@ -1,4 +1,4 @@
-// Portable hot-path annotations.
+// Portable hot-path annotations and big-endian word access.
 //
 // Everything here is safe under -fno-exceptions and degrades to a no-op on
 // compilers without the underlying builtin. Used by the packet hot path
@@ -7,7 +7,10 @@
 // builtins through the code.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 #if defined(__GNUC__) || defined(__clang__)
 #define XMAP_LIKELY(x) (__builtin_expect(!!(x), 1))
@@ -33,6 +36,25 @@ template <std::size_t Align, typename T>
 #else
   return p;
 #endif
+}
+
+// Byte-order-correct 64-bit load/store at possibly unaligned memory, in
+// network (big-endian) order. memcpy compiles to one plain load or store on
+// every target we build for; the bswap is one instruction.
+[[nodiscard]] XMAP_ALWAYS_INLINE std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+XMAP_ALWAYS_INLINE void store_be64(std::uint8_t* p, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, 8);
 }
 
 }  // namespace xmap::net

@@ -1,7 +1,7 @@
 #include "netbase/ipv6.h"
 
 #include <charconv>
-#include <cstdio>
+#include <cstring>
 #include <vector>
 
 namespace xmap::net {
@@ -135,17 +135,20 @@ std::optional<Ipv6Address> Ipv6Address::parse(std::string_view text) {
   return Ipv6Address{b};
 }
 
-std::string Ipv6Address::to_string() const {
+char* Ipv6Address::format(char* out) const {
+  const Uint128 v = value();
   // RFC 5952 §5: IPv4-mapped addresses render with a dotted-quad tail.
-  if (group(0) == 0 && group(1) == 0 && group(2) == 0 && group(3) == 0 &&
-      group(4) == 0 && group(5) == 0xffff) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "::ffff:%u.%u.%u.%u", byte(12), byte(13),
-                  byte(14), byte(15));
-    return std::string{buf};
+  if (v.hi() == 0 && (v.lo() >> 32) == 0xffff) {
+    std::memcpy(out, "::ffff:", 7);
+    out += 7;
+    for (int i = 12; i < 16; ++i) {
+      if (i > 12) *out++ = '.';
+      out = std::to_chars(out, out + 3, byte(i)).ptr;
+    }
+    return out;
   }
   // Find the longest run of zero groups (length >= 2), leftmost on ties.
-  int best_start = -1, best_len = 0;
+  int best_start = -1, best_len = 1;
   for (int i = 0; i < 8;) {
     if (group(i) != 0) {
       ++i;
@@ -159,22 +162,23 @@ std::string Ipv6Address::to_string() const {
     }
     i = j;
   }
-  if (best_len < 2) best_start = -1;
 
-  std::string out;
-  out.reserve(40);
   for (int i = 0; i < 8; ++i) {
     if (i == best_start) {
-      out += "::";
+      *out++ = ':';
+      *out++ = ':';
       i += best_len - 1;  // loop increment lands on the group after the run
       continue;
     }
-    if (!out.empty() && out.back() != ':') out += ':';
-    char g[8];
-    std::snprintf(g, sizeof g, "%x", group(i));
-    out += g;
+    if (i > 0 && i != best_start + best_len) *out++ = ':';
+    out = std::to_chars(out, out + 4, group(i), 16).ptr;
   }
   return out;
+}
+
+std::string Ipv6Address::to_string() const {
+  char buf[kMaxTextLength];
+  return std::string(buf, format(buf));
 }
 
 std::optional<Ipv6Prefix> Ipv6Prefix::parse(std::string_view text) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 
+#include "netbase/compiler.h"
 #include "netbase/uint128.h"
 
 namespace xmap::net {
@@ -24,20 +25,16 @@ class Ipv6Address {
       : b_(bytes) {}
 
   // Builds from the numeric value (big-endian: bit 127 of `v` is the first
-  // bit on the wire).
-  static constexpr Ipv6Address from_value(Uint128 v) {
-    std::array<std::uint8_t, 16> b{};
-    for (int i = 15; i >= 0; --i) {
-      b[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v.to_u64() & 0xff);
-      v >>= 8;
-    }
-    return Ipv6Address{b};
+  // bit on the wire). Two 64-bit stores, as value() is two 64-bit loads.
+  static Ipv6Address from_value(Uint128 v) {
+    Ipv6Address a;
+    store_be64(a.b_.data(), v.hi());
+    store_be64(a.b_.data() + 8, v.lo());
+    return a;
   }
 
-  [[nodiscard]] constexpr Uint128 value() const {
-    Uint128 v{};
-    for (std::uint8_t byte : b_) v = (v << 8) | Uint128{byte};
-    return v;
+  [[nodiscard]] Uint128 value() const {
+    return Uint128{load_be64(b_.data()), load_be64(b_.data() + 8)};
   }
 
   [[nodiscard]] constexpr const std::array<std::uint8_t, 16>& bytes() const {
@@ -54,18 +51,18 @@ class Ipv6Address {
   }
 
   // Low 64 bits: the interface identifier under the /64 convention.
-  [[nodiscard]] constexpr std::uint64_t iid() const {
+  [[nodiscard]] std::uint64_t iid() const {
     return value().to_u64();
   }
   // High 64 bits: the /64 routing prefix.
-  [[nodiscard]] constexpr std::uint64_t prefix64() const {
+  [[nodiscard]] std::uint64_t prefix64() const {
     return value().hi();
   }
 
-  [[nodiscard]] constexpr bool is_unspecified() const {
+  [[nodiscard]] bool is_unspecified() const {
     return value().is_zero();
   }
-  [[nodiscard]] constexpr bool is_loopback() const {
+  [[nodiscard]] bool is_loopback() const {
     return value() == Uint128{1};
   }
   [[nodiscard]] constexpr bool is_multicast() const { return b_[0] == 0xff; }
@@ -75,13 +72,17 @@ class Ipv6Address {
 
   // Parses any RFC 4291 text form; nullopt on malformed input.
   [[nodiscard]] static std::optional<Ipv6Address> parse(std::string_view text);
-  // RFC 5952 canonical text form.
+  // Longest RFC 5952 text form: eight four-digit groups and seven colons.
+  static constexpr std::size_t kMaxTextLength = 39;
+  // Writes the RFC 5952 canonical text form (no terminator) into `out`,
+  // which must have room for kMaxTextLength chars; returns the end.
+  [[nodiscard]] char* format(char* out) const;
+  // format() into a fresh string.
   [[nodiscard]] std::string to_string() const;
 
   friend constexpr bool operator==(const Ipv6Address&, const Ipv6Address&) =
       default;
-  friend constexpr auto operator<=>(const Ipv6Address& a,
-                                    const Ipv6Address& b) {
+  friend auto operator<=>(const Ipv6Address& a, const Ipv6Address& b) {
     return a.value() <=> b.value();
   }
 
@@ -94,7 +95,7 @@ class Ipv6Prefix {
  public:
   constexpr Ipv6Prefix() = default;
   // Host bits of `addr` beyond `len` are cleared.
-  constexpr Ipv6Prefix(Ipv6Address addr, int len)
+  Ipv6Prefix(Ipv6Address addr, int len)
       : len_(len < 0 ? 0 : (len > 128 ? 128 : len)) {
     Uint128 v = addr.value();
     if (len_ < 128) {
@@ -107,12 +108,12 @@ class Ipv6Prefix {
   [[nodiscard]] constexpr Ipv6Address address() const { return addr_; }
   [[nodiscard]] constexpr int length() const { return len_; }
 
-  [[nodiscard]] constexpr bool contains(const Ipv6Address& a) const {
+  [[nodiscard]] bool contains(const Ipv6Address& a) const {
     if (len_ == 0) return true;
     Uint128 mask = Uint128::max() << (128 - len_);
     return (a.value() & mask) == addr_.value();
   }
-  [[nodiscard]] constexpr bool contains(const Ipv6Prefix& p) const {
+  [[nodiscard]] bool contains(const Ipv6Prefix& p) const {
     return p.len_ >= len_ && contains(p.addr_);
   }
 
@@ -123,15 +124,14 @@ class Ipv6Prefix {
   }
 
   // The index-th sub-prefix of length `sublen` (index < subprefix_count).
-  [[nodiscard]] constexpr Ipv6Prefix nth_subprefix(int sublen,
-                                                   Uint128 index) const {
+  [[nodiscard]] Ipv6Prefix nth_subprefix(int sublen, Uint128 index) const {
     Uint128 v = addr_.value() | (index << (128 - sublen));
     return Ipv6Prefix{Ipv6Address::from_value(v), sublen};
   }
 
   // An address inside this prefix with the given suffix value in the host
   // bits (suffix is masked to fit).
-  [[nodiscard]] constexpr Ipv6Address address_with_suffix(Uint128 suffix) const {
+  [[nodiscard]] Ipv6Address address_with_suffix(Uint128 suffix) const {
     if (len_ == 0) return Ipv6Address::from_value(suffix);
     if (len_ == 128) return addr_;
     Uint128 host_mask = ~(Uint128::max() << (128 - len_));
@@ -144,7 +144,7 @@ class Ipv6Prefix {
 
   friend constexpr bool operator==(const Ipv6Prefix&, const Ipv6Prefix&) =
       default;
-  friend constexpr auto operator<=>(const Ipv6Prefix& a, const Ipv6Prefix& b) {
+  friend auto operator<=>(const Ipv6Prefix& a, const Ipv6Prefix& b) {
     if (auto c = a.addr_ <=> b.addr_; c != 0) return c;
     return a.len_ <=> b.len_;
   }

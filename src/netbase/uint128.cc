@@ -5,12 +5,24 @@
 
 namespace xmap::net {
 
+namespace {
+
+// (a * b) mod m for a, b < m < 2^64: one double-width product, one
+// reduction. The compiler-extension type stays inside this file.
+std::uint64_t mulmod64(std::uint64_t a, std::uint64_t b, std::uint64_t m) {
+  __extension__ typedef unsigned __int128 U128;
+  return static_cast<std::uint64_t>(static_cast<U128>(a) * b % m);
+}
+
+}  // namespace
+
 Uint128 Uint128::mulmod(Uint128 a, Uint128 b, Uint128 m) {
   if (m.is_zero()) return Uint128{};
-  a %= m;
-  b %= m;
-  // Fast path: product fits in 128 bits exactly when the operand widths sum
-  // to at most 128.
+  if (a >= m) a %= m;
+  if (b >= m) b %= m;
+  if (m.fits_u64()) return Uint128{mulmod64(a.lo_, b.lo_, m.lo_)};
+  // Wide moduli. The product fits in 128 bits exactly when the operand
+  // widths sum to at most 128.
   if (a.bit_width() + b.bit_width() <= 128) return (a * b) % m;
   // Russian-peasant multiplication with modular reduction at each step.
   Uint128 result{};
@@ -30,8 +42,8 @@ Uint128 Uint128::mulmod(Uint128 a, Uint128 b, Uint128 m) {
 Uint128 Uint128::powmod(Uint128 base, Uint128 exp, Uint128 m) {
   if (m.is_zero()) return Uint128{};
   if (m == Uint128{1}) return Uint128{};
+  if (base >= m) base %= m;
   Uint128 result{1};
-  base %= m;
   while (!exp.is_zero()) {
     if (exp.bit(0)) result = mulmod(result, base, m);
     base = mulmod(base, base, m);

@@ -30,7 +30,7 @@ std::string stage_profile_table(const StageProfile& profile) {
   }
   std::ostringstream out;
   out << "stage profile (wall clock, all workers summed)\n";
-  out << "  stage      time_ms        calls   share\n";
+  out << "  stage         time_ms        calls   share\n";
   for (int i = 0; i < kStageCount; ++i) {
     const Stage stage = static_cast<Stage>(i);
     const StageProfile::Entry& entry = profile.at(stage);
@@ -41,7 +41,7 @@ std::string stage_profile_table(const StageProfile& profile) {
                   static_cast<double>(total_ns)
             : 0.0;
     char line[128];
-    std::snprintf(line, sizeof line, "  %-9s %10.3f %12llu %6.1f%%%s\n",
+    std::snprintf(line, sizeof line, "  %-12s %10.3f %12llu %6.1f%%%s\n",
                   stage_name(stage), ms,
                   static_cast<unsigned long long>(entry.calls), share,
                   stage == Stage::kClassify ? "  (within receive)" : "");

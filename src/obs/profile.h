@@ -4,7 +4,9 @@
 // generation, send, receive, classify, merge) accumulate into a per-worker
 // StageProfile; the engine merges worker profiles after join and surfaces
 // the result as the "stage_profile" section of the telemetry JSON and as
-// the --profile summary table. These are *real* (wall-clock) nanoseconds —
+// the --profile summary table. xmap_sim times the post-scan tail (record
+// output, store encode) after the telemetry is written, so those two
+// stages fill only the table. These are *real* (wall-clock) nanoseconds —
 // the one observability signal that is intentionally not deterministic —
 // so they never appear in the trace or the deterministic Prometheus
 // export.
@@ -27,6 +29,8 @@ enum class Stage : std::uint8_t {
   kMerge,        // main-thread record sort + collector union
   kLease,        // fabric coordinator: shard lease assignment (Assign send)
   kDecode,       // fabric coordinator: inbound frame decode + dispatch
+  kOutput,       // xmap_sim: record writer over the merged records
+  kStoreEncode,  // xmap_sim: --store-file snapshot encode + write
   kCount_,
 };
 
@@ -50,6 +54,10 @@ inline constexpr int kStageCount = static_cast<int>(Stage::kCount_);
       return "lease";
     case Stage::kDecode:
       return "decode";
+    case Stage::kOutput:
+      return "output";
+    case Stage::kStoreEncode:
+      return "store_encode";
     case Stage::kCount_:
       break;
   }

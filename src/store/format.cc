@@ -52,20 +52,45 @@ std::uint64_t get_u64(const char* p) {
   return v;
 }
 
-void put_varint64(std::string& out, std::uint64_t v) {
+namespace {
+
+// Longest encodings: ceil(64/7) and ceil(128/7) groups.
+constexpr std::size_t kMaxVarint64Bytes = 10;
+constexpr std::size_t kMaxVarint128Bytes = 19;
+// Verbatim key, probe_dst XOR, four single-byte fields, four varint64s.
+constexpr std::size_t kMaxRecordBytes =
+    16 + kMaxVarint128Bytes + 4 + 4 * kMaxVarint64Bytes;
+
+char* write_varint64(char* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    *p++ = static_cast<char>((v & 0x7f) | 0x80);
     v >>= 7;
   }
-  out.push_back(static_cast<char>(v));
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
+// Works on the two 64-bit halves: each group shifts 7 bits from hi to lo.
+char* write_varint128(char* p, net::Uint128 v) {
+  std::uint64_t hi = v.hi(), lo = v.lo();
+  while (hi != 0) {
+    *p++ = static_cast<char>((lo & 0x7f) | 0x80);
+    lo = (lo >> 7) | (hi << 57);
+    hi >>= 7;
+  }
+  return write_varint64(p, lo);
+}
+
+}  // namespace
+
+void put_varint64(std::string& out, std::uint64_t v) {
+  char buf[kMaxVarint64Bytes];
+  out.append(buf, static_cast<std::size_t>(write_varint64(buf, v) - buf));
 }
 
 void put_varint128(std::string& out, net::Uint128 v) {
-  while (v >= net::Uint128{0x80}) {
-    out.push_back(static_cast<char>((v.to_u64() & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v.to_u64()));
+  char buf[kMaxVarint128Bytes];
+  out.append(buf, static_cast<std::size_t>(write_varint128(buf, v) - buf));
 }
 
 bool get_varint64(const char* data, std::size_t len, std::size_t* pos,
@@ -175,22 +200,27 @@ BlockInfo parse_index_entry(const char* p) {
 
 void encode_record(std::string& out, const Record& record,
                    const net::Ipv6Address* prev_key) {
+  char buf[kMaxRecordBytes];
+  char* p = buf;
+  const net::Uint128 key = record.key.value();
   if (prev_key == nullptr) {
-    out.append(reinterpret_cast<const char*>(record.key.bytes().data()), 16);
+    std::memcpy(p, record.key.bytes().data(), 16);
+    p += 16;
   } else {
-    put_varint128(out, record.key.value() - prev_key->value());
+    p = write_varint128(p, key - prev_key->value());
   }
   // probe_dst usually shares the key's routing prefix, so the XOR against
   // the key is a short varint.
-  put_varint128(out, record.probe_dst.value() ^ record.key.value());
-  out.push_back(static_cast<char>(record.kind));
-  out.push_back(static_cast<char>(record.icmp_code));
-  out.push_back(static_cast<char>(record.hop_limit));
-  out.push_back(static_cast<char>(record.flags));
-  put_varint64(out, record.vendor);
-  put_varint64(out, record.services);
-  put_varint64(out, record.responses);
-  put_varint64(out, record.first_us);
+  p = write_varint128(p, record.probe_dst.value() ^ key);
+  *p++ = static_cast<char>(record.kind);
+  *p++ = static_cast<char>(record.icmp_code);
+  *p++ = static_cast<char>(record.hop_limit);
+  *p++ = static_cast<char>(record.flags);
+  p = write_varint64(p, record.vendor);
+  p = write_varint64(p, record.services);
+  p = write_varint64(p, record.responses);
+  p = write_varint64(p, record.first_us);
+  out.append(buf, static_cast<std::size_t>(p - buf));
 }
 
 bool decode_record(const char* data, std::size_t len, std::size_t* pos,

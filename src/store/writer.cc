@@ -19,6 +19,46 @@ namespace {
                     static_cast<int>(r.hop_limit));
 }
 
+// Sorts by key and merges duplicate keys. Sorts (key words, index) slots
+// rather than the records themselves: half the bytes to move, and a key
+// compare is two word compares.
+[[nodiscard]] std::vector<Record> merge_by_key(
+    const std::vector<Record>& records) {
+  struct Slot {
+    std::uint64_t hi, lo;
+    std::uint32_t index;
+  };
+  std::vector<Slot> order;
+  order.reserve(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const net::Uint128 key = records[i].key.value();
+    order.push_back({key.hi(), key.lo(), static_cast<std::uint32_t>(i)});
+  }
+  std::sort(order.begin(), order.end(), [&](const Slot& a, const Slot& b) {
+    if (a.hi != b.hi) return a.hi < b.hi;
+    if (a.lo != b.lo) return a.lo < b.lo;
+    return first_fields_rank(records[a.index]) <
+           first_fields_rank(records[b.index]);
+  });
+  std::vector<Record> merged;
+  merged.reserve(records.size());
+  for (const Slot& slot : order) {
+    const Record& r = records[slot.index];
+    if (!merged.empty() && merged.back().key == r.key) {
+      Record& m = merged.back();
+      // The sort already put the rank-minimal entry first, so its
+      // first-response fields stand; later duplicates only accumulate.
+      m.responses += r.responses;
+      m.services |= r.services;
+      m.flags |= r.flags;
+      if (m.vendor == 0) m.vendor = r.vendor;
+      continue;
+    }
+    merged.push_back(r);
+  }
+  return merged;
+}
+
 [[nodiscard]] auto geo_rank(const GeoEntry& g) {
   return std::tuple(g.prefix, g.asn, g.country[0], g.country[1], g.as_name);
 }
@@ -63,26 +103,8 @@ std::string StoreBuilder::serialize() {
   }
 
   // --- sort and merge duplicate keys (order-independent) -----------------
-  std::sort(records_.begin(), records_.end(),
-            [](const Record& a, const Record& b) {
-              if (a.key != b.key) return a.key < b.key;
-              return first_fields_rank(a) < first_fields_rank(b);
-            });
-  std::vector<Record> merged;
-  merged.reserve(records_.size());
-  for (const Record& r : records_) {
-    if (!merged.empty() && merged.back().key == r.key) {
-      Record& m = merged.back();
-      // The sort already put the rank-minimal entry first, so its
-      // first-response fields stand; later duplicates only accumulate.
-      m.responses += r.responses;
-      m.services |= r.services;
-      m.flags |= r.flags;
-      if (m.vendor == 0) m.vendor = r.vendor;
-      continue;
-    }
-    merged.push_back(r);
-  }
+  const std::vector<Record> merged = merge_by_key(records_);
+  std::vector<Record>().swap(records_);  // consumed: free it before encoding
 
   std::sort(geo_.begin(), geo_.end(), [](const GeoEntry& a,
                                          const GeoEntry& b) {
@@ -95,42 +117,39 @@ std::string StoreBuilder::serialize() {
              geo_.end());
 
   // --- data blocks -------------------------------------------------------
+  // Each record is encoded straight into the open block at the tail of
+  // `blocks`. One that overflows the block is cut off again, the block is
+  // sealed, and the record re-encoded as the next block's verbatim first.
   std::string blocks;
   std::vector<BlockInfo> index;
-  std::string cur;
-  cur.reserve(block_bytes_);
-  std::uint32_t cur_count = 0;
-  net::Ipv6Address first_key;
-  auto flush = [&] {
-    if (cur_count == 0) return;
-    BlockInfo info;
-    info.first_key = first_key;
-    info.record_count = cur_count;
-    info.used_bytes = static_cast<std::uint32_t>(cur.size());
-    cur.resize(block_bytes_, '\0');
-    info.checksum = fnv1a(cur.data(), cur.size());
-    index.push_back(info);
-    blocks += cur;
-    cur.clear();
-    cur_count = 0;
+  std::size_t block_start = 0;
+  BlockInfo open;  // record_count == 0: no block open
+  auto seal = [&] {
+    if (open.record_count == 0) return;
+    open.used_bytes = static_cast<std::uint32_t>(blocks.size() - block_start);
+    blocks.resize(block_start + block_bytes_, '\0');
+    open.checksum = fnv1a(blocks.data() + block_start, block_bytes_);
+    index.push_back(open);
+    block_start = blocks.size();
+    open = BlockInfo{};
   };
-  std::string one;
   for (std::size_t i = 0; i < merged.size(); ++i) {
     const Record& r = merged[i];
-    one.clear();
-    const net::Ipv6Address prev =
-        cur_count > 0 ? merged[i - 1].key : net::Ipv6Address{};
-    encode_record(one, r, cur_count > 0 ? &prev : nullptr);
-    if (!cur.empty() && cur.size() + one.size() > block_bytes_) {
-      flush();
-      one.clear();
-      encode_record(one, r, nullptr);
+    if (open.record_count > 0) {
+      const std::size_t mark = blocks.size();
+      encode_record(blocks, r, &merged[i - 1].key);
+      if (blocks.size() - block_start <= block_bytes_) {
+        ++open.record_count;
+        continue;
+      }
+      blocks.resize(mark);
+      seal();
     }
-    if (cur_count == 0) first_key = r.key;
-    cur += one;
-    ++cur_count;
+    open.first_key = r.key;
+    open.record_count = 1;
+    encode_record(blocks, r, nullptr);
   }
-  flush();
+  seal();
 
   // --- assemble file -----------------------------------------------------
   FileHeader header;
@@ -168,6 +187,7 @@ std::string StoreBuilder::serialize() {
   header.trailer_offset = header.vendor_offset + vendor_bytes.size();
 
   std::string out = serialize_header(header);
+  out.reserve(header.trailer_offset + 16 + sizeof kEndMagic);
   out += blocks;
   for (const BlockInfo& info : index) out += serialize_index_entry(info);
   out += geo_bytes;

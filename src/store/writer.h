@@ -44,7 +44,7 @@ class StoreBuilder {
   }
 
   // Builds the complete file image. Idempotent w.r.t. the added content;
-  // callable once (it consumes and re-sorts internal state).
+  // callable once (it consumes the added records and re-sorts the rest).
   [[nodiscard]] std::string serialize();
 
   // serialize() + atomic temp+rename write (recover::write_file_atomic).

@@ -39,6 +39,14 @@ class Blocklist {
   // that is more specific than an allowed one wins, and vice versa.
   [[nodiscard]] bool permitted(const net::Ipv6Address& addr) const;
 
+  // Builds both lookup indexes now. Call before scanners on several
+  // threads share the blocklist: permitted() would otherwise compile them
+  // lazily on first use, mutating shared state.
+  void compile() const {
+    blocked_.compile();
+    allowed_.compile();
+  }
+
   [[nodiscard]] std::size_t blocked_count() const { return blocked_.size(); }
   [[nodiscard]] std::size_t allowed_count() const { return allowed_.size(); }
 

@@ -78,14 +78,14 @@ TEST(Pipeline, VendorRecoveryThroughOui) {
 TEST(Pipeline, VendorFromAddressRejectsNonEui) {
   topo::OuiDb oui;
   oui.add(0xb0d001, "X");
-  EXPECT_FALSE(
-      vendor_from_address(*Ipv6Address::parse("3fff::1234:5678:9abc:def0"), oui)
-          .has_value());
+  EXPECT_EQ(
+      vendor_from_address(*Ipv6Address::parse("3fff::1234:5678:9abc:def0"), oui),
+      nullptr);
   // EUI-64 but unknown OUI.
   const auto mac = net::MacAddress::from_u64(0xffffff000001);
   const auto addr = net::Ipv6Prefix::parse("3fff::/64")->address_with_suffix(
       net::Uint128{mac.to_eui64_iid()});
-  EXPECT_FALSE(vendor_from_address(addr, oui).has_value());
+  EXPECT_EQ(vendor_from_address(addr, oui), nullptr);
 }
 
 TEST(Pipeline, GrabServicesOverDiscoveredHops) {

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "topology/paper_profiles.h"
+#include "xmap/blocklist.h"
 #include "xmap/results.h"
 
 namespace xmap::engine {
@@ -160,6 +161,23 @@ TEST(ParallelExecutor, DeterministicAcrossRunsAndThreadCounts) {
     EXPECT_EQ(records_fingerprint(first), records_fingerprint(second));
     EXPECT_EQ(first.stats, second.stats);
     EXPECT_EQ(hop_set(first.collector), baseline.hops);
+  }
+  // A blocklist every worker shares, handed over uncompiled: the engine
+  // builds its lookup indexes before the workers start, so none of them
+  // compiles it concurrently (a race the thread sanitizer reports).
+  std::set<std::string> blocked_reference;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("blocklist, threads=" + std::to_string(threads));
+    scan::Blocklist blocklist;
+    blocklist.block(topo::scan_window(topo::paper::isp_specs()[0], 8).scan_base);
+    EngineConfig cfg = make_config(threads);
+    cfg.scan.blocklist = &blocklist;
+    auto result = run_parallel_scan(cfg);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_GT(result.stats.blocked, 0u);
+    if (threads == 1) blocked_reference = hop_set(result.collector);
+    EXPECT_EQ(hop_set(result.collector), blocked_reference);
+    EXPECT_LT(blocked_reference.size(), baseline.hops.size());
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <set>
@@ -210,6 +211,42 @@ TEST(TcpTransport, RefusalLatchesDiagnosticAndFencesWorker) {
   EXPECT_NE(wt->refusal().find("zombie"), std::string::npos)
       << wt->refusal();
   fabric->close_all();
+}
+
+// A relay whose upstream is gone still accepts, then hangs up without a
+// word. Those silent accepts must not restart the reconnect window: the
+// worker latches closed once the window has passed since it last heard
+// its coordinator, instead of redialling the relay forever.
+TEST(TcpTransport, SilentAcceptsDoNotExtendReconnectWindow) {
+  std::string error;
+  auto fabric = TcpFabric::create(1, "127.0.0.1:0", error);
+  ASSERT_NE(fabric, nullptr) << error;
+  ChaosProxyOptions popts;
+  popts.upstream = fabric->bound_address();
+  auto proxy = ChaosProxy::create(popts, error);
+  ASSERT_NE(proxy, nullptr) << error;
+  TcpWorkerOptions opts;
+  opts.connect_address = proxy->address();
+  opts.worker = 0;
+  opts.reconnect_window_ms = 300;
+  auto wt = TcpWorkerTransport::create(opts, error);
+  ASSERT_NE(wt, nullptr) << error;
+  ASSERT_EQ(fabric->recv_any(2000).status, RecvStatus::kFrame);  // kRejoin
+  Message ack;
+  ack.type = MsgType::kAck;
+  ASSERT_TRUE(fabric->send_to(0, encode_frame(ack)));
+  ASSERT_EQ(wt->recv(2000).status, RecvStatus::kFrame);
+
+  fabric.reset();  // the coordinator is gone; the relay keeps accepting
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  RecvStatus status = RecvStatus::kTimeout;
+  while (status != RecvStatus::kClosed &&
+         std::chrono::steady_clock::now() < deadline) {
+    status = wt->recv(50).status;
+  }
+  EXPECT_EQ(status, RecvStatus::kClosed);
+  proxy->stop();
 }
 
 // --- Clean byte identity ---------------------------------------------------

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "netbase/random.h"
 
 namespace xmap::net {
@@ -128,6 +135,28 @@ TEST(Ipv6Address, ValueRoundTrip) {
   EXPECT_EQ(a->value().lo(), 0x9abcdef013572468ULL);
   EXPECT_EQ(a->prefix64(), 0x20010db812345678ULL);
   EXPECT_EQ(a->iid(), 0x9abcdef013572468ULL);
+  // Random input: from_value(value()) is the identity, value() reads the
+  // bytes big-endian, and ordering is lexicographic byte order.
+  Rng rng{7};
+  Ipv6Address prev;
+  for (int i = 0; i < 2000; ++i) {
+    std::array<std::uint8_t, 16> bytes{};
+    for (auto& byte : bytes) byte = static_cast<std::uint8_t>(rng.next());
+    // Shared leading bytes make the comparison reach deep into the key.
+    for (int k = 0; k < static_cast<int>(rng.uniform(16)); ++k) {
+      bytes[static_cast<std::size_t>(k)] = prev.byte(k);
+    }
+    const Ipv6Address addr{bytes};
+    EXPECT_EQ(Ipv6Address::from_value(addr.value()), addr);
+    Uint128 expect{};
+    for (std::uint8_t byte : bytes) expect = (expect << 8) | Uint128{byte};
+    EXPECT_EQ(addr.value(), expect);
+    const bool lex_less = std::lexicographical_compare(
+        prev.bytes().begin(), prev.bytes().end(), bytes.begin(), bytes.end());
+    EXPECT_EQ(prev < addr, lex_less);
+    EXPECT_EQ(addr < prev, !lex_less && prev != addr);
+    prev = addr;
+  }
 }
 
 TEST(Ipv6Address, Classification) {
@@ -138,6 +167,65 @@ TEST(Ipv6Address, Classification) {
   EXPECT_FALSE(Ipv6Address::parse("fec0::1")->is_link_local());
 }
 
+// The snprintf-per-group RFC 5952 formatter that Ipv6Address::format
+// replaced, kept as the oracle.
+std::string snprintf_oracle(const Ipv6Address& a) {
+  if (a.group(0) == 0 && a.group(1) == 0 && a.group(2) == 0 &&
+      a.group(3) == 0 && a.group(4) == 0 && a.group(5) == 0xffff) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "::ffff:%u.%u.%u.%u", a.byte(12),
+                  a.byte(13), a.byte(14), a.byte(15));
+    return std::string{buf};
+  }
+  int best_start = -1, best_len = 0;
+  for (int i = 0; i < 8;) {
+    if (a.group(i) != 0) {
+      ++i;
+      continue;
+    }
+    int j = i;
+    while (j < 8 && a.group(j) == 0) ++j;
+    if (j - i > best_len) {
+      best_start = i;
+      best_len = j - i;
+    }
+    i = j;
+  }
+  if (best_len < 2) best_start = -1;
+  std::string out;
+  for (int i = 0; i < 8; ++i) {
+    if (i == best_start) {
+      out += "::";
+      i += best_len - 1;
+      continue;
+    }
+    if (!out.empty() && out.back() != ':') out += ':';
+    char g[8];
+    std::snprintf(g, sizeof g, "%x", a.group(i));
+    out += g;
+  }
+  return out;
+}
+
+// Zero-biased groups: half are zero, so zero runs of every length, ties
+// between equal-length runs and lone zero groups all occur; the rest
+// vary in digit count. Every eighth address is IPv4-mapped.
+Ipv6Address zero_biased_address(Rng& rng, int i) {
+  std::array<std::uint8_t, 16> b{};
+  if (i % 8 == 7) {
+    b[10] = b[11] = 0xff;
+    for (int k = 12; k < 16; ++k) b[k] = static_cast<std::uint8_t>(rng.next());
+    return Ipv6Address{b};
+  }
+  for (int g = 0; g < 8; ++g) {
+    if (rng.uniform(2) == 0) continue;
+    const std::uint64_t v = rng.next() >> (rng.uniform(4) * 4 + 48);
+    b[2 * g] = static_cast<std::uint8_t>(v >> 8);
+    b[2 * g + 1] = static_cast<std::uint8_t>(v);
+  }
+  return Ipv6Address{b};
+}
+
 TEST(Ipv6Address, RandomRoundTripPropertySweep) {
   Rng rng{99};
   for (int i = 0; i < 2000; ++i) {
@@ -145,6 +233,22 @@ TEST(Ipv6Address, RandomRoundTripPropertySweep) {
     auto reparsed = Ipv6Address::parse(a.to_string());
     ASSERT_TRUE(reparsed.has_value()) << a.to_string();
     EXPECT_EQ(*reparsed, a) << a.to_string();
+    EXPECT_EQ(a.to_string(), snprintf_oracle(a));
+  }
+  for (const char* text :
+       {"::", "::1", "1::", "::ffff:0.0.0.0", "::ffff:255.255.255.255",
+        "::ffff:10.1.2.3", "1:0:0:1:0:0:1:1", "1:0:1:0:1:0:1:0",
+        "0:1:0:0:1:0:0:0", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff",
+        "0:0:0:0:0:fffe:1:2", "::fffe:0:0", "0:0:0:0:1:ffff:1:2"}) {
+    const Ipv6Address a = *Ipv6Address::parse(text);
+    EXPECT_EQ(a.to_string(), snprintf_oracle(a)) << text;
+  }
+  for (int i = 0; i < 20000; ++i) {
+    const Ipv6Address a = zero_biased_address(rng, i);
+    const std::string text = a.to_string();
+    ASSERT_EQ(text, snprintf_oracle(a));
+    ASSERT_LE(text.size(), Ipv6Address::kMaxTextLength);
+    ASSERT_EQ(Ipv6Address::parse(text), a) << text;
   }
 }
 
@@ -217,6 +321,28 @@ TEST(Ipv6Prefix, OrderingAndHash) {
   auto b = *Ipv6Prefix::parse("2001:db8::/48");
   EXPECT_LT(a, b);
   EXPECT_NE(std::hash<Ipv6Prefix>{}(a), std::hash<Ipv6Prefix>{}(b));
+  // Random prefixes: ordering is lexicographic over (address bytes,
+  // length), and equal prefixes hash equally.
+  Rng rng{11};
+  std::vector<Ipv6Prefix> prefixes;
+  for (int i = 0; i < 500; ++i) {
+    const int len = static_cast<int>(rng.uniform(129));
+    prefixes.emplace_back(
+        Ipv6Address::from_value(Uint128{rng.next() >> rng.uniform(8),
+                                        rng.next()}),
+        len);
+  }
+  for (std::size_t i = 1; i < prefixes.size(); ++i) {
+    const Ipv6Prefix& p = prefixes[i - 1];
+    const Ipv6Prefix& q = prefixes[i];
+    const auto key = [](const Ipv6Prefix& x) {
+      return std::pair{x.address().bytes(), x.length()};
+    };
+    EXPECT_EQ(p < q, key(p) < key(q)) << p.to_string() << " " << q.to_string();
+    const Ipv6Prefix copy{q.address(), q.length()};
+    EXPECT_EQ(copy, q);
+    EXPECT_EQ(std::hash<Ipv6Prefix>{}(copy), std::hash<Ipv6Prefix>{}(q));
+  }
 }
 
 // Property: nth_subprefix enumerates disjoint prefixes covering the parent.

@@ -162,6 +162,27 @@ TEST(Uint128, PowmodMatchesFermat) {
   // 2^(p-1) mod p == 1 for prime p.
   const Uint128 p{0xffffffffffffffc5ULL};  // largest prime < 2^64
   EXPECT_EQ(Uint128::powmod(Uint128{2}, p - Uint128{1}, p), Uint128{1});
+  // Euler's generalisation a^phi(m) == 1 (bases coprime to m) at and past
+  // the 64-bit edge: 2^64-59 (prime), 2^64-1 = 3*5*17*257*641*65537*6700417,
+  // and 2^64, the first modulus the 64-bit path cannot take.
+  struct Case {
+    Uint128 m;
+    Uint128 phi;
+  };
+  const Case cases[] = {
+      {p, p - Uint128{1}},
+      {Uint128{~std::uint64_t{0}}, Uint128{0x7fcce00000000000ULL}},
+      {Uint128::pow2(64), Uint128::pow2(63)},
+  };
+  for (const Case& c : cases) {
+    for (std::uint64_t a : {7ULL, 11ULL, 0x123456789abcdef1ULL}) {
+      EXPECT_EQ(Uint128::powmod(Uint128{a}, c.phi, c.m), Uint128{1})
+          << a << " mod " << c.m.to_string();
+      // A base above the modulus reduces first.
+      EXPECT_EQ(Uint128::powmod(Uint128{a} + c.m, c.phi, c.m), Uint128{1})
+          << a << " + m mod " << c.m.to_string();
+    }
+  }
 }
 
 // ---- Randomized differential tests against the compiler's __int128 ----
@@ -221,6 +242,23 @@ TEST_P(Uint128Random, MulmodMatchesNaive) {
     } else {
       // Cross-check via modular identity: mulmod(a,b,m) == mulmod(b,a,m).
       EXPECT_EQ(Uint128::mulmod(a, b, m), Uint128::mulmod(b, a, m));
+    }
+  }
+  // Moduli below and at the 64-bit edge, where reduced operands are
+  // below 2^64 and the native product is an exact oracle: 2^64-59 (the
+  // largest 64-bit prime), 2^64-1, and 2^64 (the first wide modulus).
+  for (const Uint128 m : {Uint128{0xffffffffffffffc5ULL},
+                          Uint128{~std::uint64_t{0}}, Uint128::pow2(64)}) {
+    const U128 nm = to_native(m);
+    for (int i = 0; i < 200; ++i) {
+      const Uint128 a{rng.next(), rng.next()};
+      // Every other b is already reduced, as the permutation step's are.
+      const Uint128 b = i % 2 == 0 ? Uint128{rng.next(), rng.next()}
+                                   : Uint128{rng.next()} % m;
+      const U128 expect = (to_native(a) % nm) * (to_native(b) % nm) % nm;
+      EXPECT_EQ(to_native(Uint128::mulmod(a, b, m)), expect)
+          << a.to_string() << " * " << b.to_string() << " mod "
+          << m.to_string();
     }
   }
 }

@@ -192,16 +192,33 @@ ProbeResponse sample_response() {
   return r;
 }
 
+// The longest line a writer emits: an IPv4-mapped responder, a full
+// eight-group probe address, the longest kind name, three-digit codes and
+// the largest timestamp.
+ProbeResponse wide_response() {
+  ProbeResponse r;
+  r.kind = ResponseKind::kTimeExceeded;
+  r.responder = *net::Ipv6Address::parse("::ffff:192.0.2.255");
+  r.probe_dst =
+      *net::Ipv6Address::parse("2400:1234:5678:9abc:def0:1:ffff:ab");
+  r.icmp_code = 255;
+  r.hop_limit = 255;
+  return r;
+}
+
 TEST(OutputWriters, CsvFormat) {
   std::ostringstream out;
   auto writer = make_writer("csv", out);
   ASSERT_NE(writer, nullptr);
   writer->begin();
   writer->record(sample_response(), 1500 * sim::kMicrosecond);
+  writer->record(wide_response(), sim::kNeverTime);
   writer->end();
   EXPECT_EQ(out.str(),
             "saddr,probe_dst,classification,icmp_code,hlim,timestamp_us\n"
-            "2400::1,2400:0:0:5::abcd,dest-unreach,3,61,1500\n");
+            "2400::1,2400:0:0:5::abcd,dest-unreach,3,61,1500\n"
+            "::ffff:192.0.2.255,2400:1234:5678:9abc:def0:1:ffff:ab,"
+            "time-exceeded,255,255,18446744073709551\n");
 }
 
 TEST(OutputWriters, JsonlFormat) {
@@ -210,11 +227,16 @@ TEST(OutputWriters, JsonlFormat) {
   ASSERT_NE(writer, nullptr);
   writer->begin();
   writer->record(sample_response(), 2 * sim::kSecond);
+  writer->record(wide_response(), sim::kNeverTime);
   writer->end();
   EXPECT_EQ(out.str(),
             "{\"saddr\":\"2400::1\",\"probe_dst\":\"2400:0:0:5::abcd\","
             "\"classification\":\"dest-unreach\",\"icmp_code\":3,"
-            "\"hlim\":61,\"timestamp_us\":2000000}\n");
+            "\"hlim\":61,\"timestamp_us\":2000000}\n"
+            "{\"saddr\":\"::ffff:192.0.2.255\","
+            "\"probe_dst\":\"2400:1234:5678:9abc:def0:1:ffff:ab\","
+            "\"classification\":\"time-exceeded\",\"icmp_code\":255,"
+            "\"hlim\":255,\"timestamp_us\":18446744073709551}\n");
 }
 
 TEST(Cli, ResilienceFlags) {

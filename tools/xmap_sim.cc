@@ -187,17 +187,32 @@ recover::Fingerprint make_fingerprint(const scan::CliOptions& opts,
   return fp;
 }
 
+// Writes the merged records through the result writer; --profile times it
+// as the output stage (perfbench's xmap.output).
+template <typename Records>
+void write_records(scan::ResultWriter& writer, const Records& records,
+                   obs::StageProfile* profile) {
+  obs::ScopedStageTimer timer{profile, obs::Stage::kOutput};
+  writer.begin();
+  for (const auto& record : records) {
+    writer.record(record.response, record.when);
+  }
+  writer.end();
+}
+
 // Builds and atomically writes the --store-file snapshot from the merged
 // record stream. StoreBuilder's order-independent duplicate merge plus the
 // deterministic geo/vendor sections make the written bytes a pure function
 // of (config, seed) — identical across --threads values. Works over the
 // engine's and the fabric's record types (each exposes .response and
 // .when).
+// --profile times it as the store_encode stage (perfbench's store.encode).
 template <typename Records>
 bool write_store_file(const scan::CliOptions& opts,
                       const recover::Fingerprint& fingerprint,
                       const topo::GeoDb& geo, const topo::OuiDb& oui,
-                      const Records& records) {
+                      const Records& records, obs::StageProfile* profile) {
+  obs::ScopedStageTimer timer{profile, obs::Stage::kStoreEncode};
   store::StoreBuilder builder;
   ana::fill_geo(builder, geo);
   builder.set_config_fingerprint(ana::scan_config_fingerprint(fingerprint));
@@ -482,14 +497,12 @@ int main(int argc, char** argv) {
     }
     if (timeline_file.is_open()) timeline_file.close();
 
-    writer->begin();
-    for (const auto& record : result.records) {
-      writer->record(record.response, record.when);
-    }
-    writer->end();
+    obs::StageProfile* const tail =
+        opts.profile ? &result.stage_profile : nullptr;
+    write_records(*writer, result.records, tail);
     if (!flush_output()) return kExitConfig;
     if (!opts.store_file.empty() &&
-        !write_store_file(opts, fingerprint, geo, oui, result.records)) {
+        !write_store_file(opts, fingerprint, geo, oui, result.records, tail)) {
       return kExitConfig;
     }
     for (const auto& error : result.worker_errors) {
@@ -616,17 +629,14 @@ int main(int argc, char** argv) {
   // Records are pre-sorted deterministically by the engine (checkpoint
   // records included), so the output stream is byte-identical across
   // runs — interrupted-then-resumed or not — for a fixed seed.
-  writer->begin();
-  for (const auto& record : result.records) {
-    writer->record(record.response, record.when);
-  }
-  writer->end();
+  obs::StageProfile* const tail = opts.profile ? &result.stage_profile : nullptr;
+  write_records(*writer, result.records, tail);
   if (!flush_output()) {
     finish_status();
     return kExitConfig;
   }
   if (!opts.store_file.empty() &&
-      !write_store_file(opts, fingerprint, geo, oui, result.records)) {
+      !write_store_file(opts, fingerprint, geo, oui, result.records, tail)) {
     finish_status();
     return kExitConfig;
   }
