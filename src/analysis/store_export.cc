@@ -74,7 +74,7 @@ std::uint64_t scan_config_fingerprint(const recover::Fingerprint& fp) {
   field(std::to_string(fp.blocklist_hash));
   field(std::to_string(fp.fault_plan_hash));
   for (const auto& target : fp.targets) field(target);
-  return store::fnv1a(blob.data(), blob.size());
+  return net::fnv1a(blob.data(), blob.size());
 }
 
 store::StoreBuilder export_store(const DiscoveryResult& discovery,

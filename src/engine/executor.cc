@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -287,11 +288,7 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
     // the deterministic content sort below interleaves them with this
     // run's exactly as an uninterrupted run would have produced them.
     result.resumed = true;
-    result.records.reserve(config.resume->records.size());
-    for (const auto& r : config.resume->records) {
-      result.records.push_back(
-          EngineRecord{r.response, r.when, r.worker, r.raw_slot});
-    }
+    result.records = config.resume->records;
   }
   std::size_t queue_peak = 0;
   if (!periodic_checkpoints) {
@@ -337,18 +334,14 @@ EngineResult run_parallel_scan(const EngineConfig& config) {
       state.signal = 0;
       state.stats = progress.snapshot();
       if (config.resume != nullptr) state.stats += config.resume->stats;
-      for (const auto& cursor : cursors) {
-        state.cursors.push_back(
-            recover::WorkerCursor{cursor.spec_steps, cursor.frontier_slot});
-      }
-      for (const auto& rec : result.records) {
-        const auto uw = static_cast<std::size_t>(rec.worker);
-        if (uw < cursors.size() &&
-            rec.raw_slot < cursors[uw].frontier_slot) {
-          state.records.push_back(recover::CheckpointRecord{
-              rec.response, rec.when, rec.worker, rec.raw_slot});
-        }
-      }
+      std::copy_if(result.records.begin(), result.records.end(),
+                   std::back_inserter(state.records),
+                   [&cursors](const EngineRecord& rec) {
+                     const auto uw = static_cast<std::size_t>(rec.worker);
+                     return uw < cursors.size() &&
+                            rec.raw_slot < cursors[uw].frontier_slot;
+                   });
+      state.cursors = std::move(cursors);
       config.checkpoint_sink(state);
     };
     // Check the epoch on every iteration, not just on queue timeouts: a

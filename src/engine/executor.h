@@ -107,13 +107,9 @@ inline constexpr int kMaxWorkers = 64;
 // One validated response as it crossed the queue. `when` is the worker's
 // sim-clock arrival time (deterministic per worker); `raw_slot` is the
 // global permutation slot of the probe that elicited it (checkpoint
-// provenance).
-struct EngineRecord {
-  scan::ProbeResponse response;
-  sim::SimTime when = 0;
-  int worker = 0;
-  std::uint64_t raw_slot = 0;
-};
+// provenance). It is the checkpoint's record type, so resume seeds and
+// checkpoint snapshots copy records without conversion.
+using EngineRecord = recover::CheckpointRecord;
 
 struct WorkerReport {
   scan::ScanStats stats;

@@ -25,13 +25,6 @@ FabricResult fail(std::string message) {
   return result;
 }
 
-std::string hex_u64(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 // Default targets (every block of the world) — the engine's recipe: window
 // placement is a pure function of the spec, no throwaway world build.
 std::vector<scan::TargetSpec> default_targets(const FabricConfig& config) {
@@ -528,8 +521,8 @@ FabricResult run_fabric_scan(const FabricConfig& config) {
     }
     if (msg.fingerprint != fp_hash) {
       const std::string diagnostic =
-          "scan fingerprint mismatch (stored " + hex_u64(msg.fingerprint) +
-          ", computed " + hex_u64(fp_hash) +
+          "scan fingerprint mismatch (" +
+          net::stored_computed(msg.fingerprint, fp_hash) +
           ") — refusing a link from a different scan";
       refuse_rejoin(w, diagnostic);
       fail_worker(w, "rejoin refused: " + diagnostic);

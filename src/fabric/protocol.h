@@ -7,7 +7,10 @@
 //   u32 magic 'XFB1' | u32 payload_len | payload | u64 FNV-1a(payload)
 //
 // and a payload is `u8 type | u64 seq | u8 ctx_ver [| u64 trace_id |
-// u64 parent_span] | type-specific body`, all integers little-endian.
+// u64 parent_span] | type-specific body`, all integers little-endian and
+// written with the netbase codec (netbase/codec.h); stats, cursors,
+// responses, trace events and metrics entries use the encoders the
+// checkpoint shares (recover/scan_codec.h).
 // `ctx_ver` is the versioned trace context: 0 means no context follows,
 // 1 means an 8-byte trace id and an 8-byte parent span id follow — the
 // causal link that lets a receiver parent its handling span under the
@@ -30,8 +33,10 @@
 #include <string_view>
 #include <vector>
 
+#include "netbase/codec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "recover/scan_codec.h"
 #include "xmap/probe_module.h"
 #include "xmap/scanner.h"
 #include "xmap/stats.h"
@@ -97,10 +102,10 @@ struct WireRecord {
   std::uint64_t raw_slot = 0;
 };
 
-// Serialized WireRecord size: kind + icmp_code + hop_limit + two addresses
-// + when + raw_slot. The decoder validates Records count prefixes against
-// this before any allocation.
-inline constexpr std::size_t kWireRecordBytes = 1 + 1 + 1 + 16 + 16 + 8 + 8;
+// Serialized WireRecord size: the response (kind + icmp_code + hop_limit +
+// two addresses) + when + raw_slot. The decoder validates Records count
+// prefixes against this before any allocation.
+inline constexpr std::size_t kWireRecordBytes = recover::kResponseBytes + 8 + 8;
 
 // The one message struct for all types; which fields are meaningful (and
 // serialized) depends on `type`. Keeping a single struct keeps the
@@ -146,13 +151,13 @@ struct Message {
   obs::MetricsSnapshot metrics;
 };
 
-// Minimum serialized TraceEvent size (every string null): the decoder
-// validates ObsTrace count prefixes against this before any allocation.
+// Minimum serialized TraceEvent and MetricsSnapshot entry: the decoder
+// validates ObsTrace / ObsMetrics count prefixes against these before any
+// allocation.
 inline constexpr std::size_t kWireTraceEventMinBytes =
-    8 + 8 + 2 * 1 + 2 * (1 + 16) + 2 * 1 + 3 * (1 + 8);
-// Minimum serialized MetricsSnapshot entry (empty name/labels/help, no
-// histogram): same pre-allocation guard for ObsMetrics count prefixes.
-inline constexpr std::size_t kWireMetricsEntryMinBytes = 4 + 4 + 1 + 1 + 8 + 1 + 4;
+    recover::kTraceEventMinBytes;
+inline constexpr std::size_t kWireMetricsEntryMinBytes =
+    recover::kMetricsEntryMinBytes;
 
 // Serializes `msg` into one complete frame.
 [[nodiscard]] std::string encode_frame(const Message& msg);
@@ -169,11 +174,8 @@ struct DecodeResult {
 
 // FNV-1a 64 over the payload (exposed for the fuzz harness, which must
 // construct frames whose only defect is the bit under test).
-[[nodiscard]] std::uint64_t frame_checksum(std::string_view payload);
-
-// Interns `s` in a process-lifetime pool and returns a stable pointer —
-// decoded TraceEvent strings must satisfy the static-storage contract of
-// obs::TraceEvent. Identical contents intern to the same pointer.
-[[nodiscard]] const char* intern_trace_string(std::string_view s);
+[[nodiscard]] inline std::uint64_t frame_checksum(std::string_view payload) {
+  return net::fnv1a(payload);
+}
 
 }  // namespace xmap::fabric

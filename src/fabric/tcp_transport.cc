@@ -39,15 +39,6 @@ void enable_nodelay(int fd) {
   (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
-std::uint32_t read_le32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
 // The frame's message-type byte (payload offset 0 = frame offset 8), for
 // cheap filtering without a full decode.
 std::uint8_t frame_type(const std::string& frame) {
@@ -139,7 +130,7 @@ bool FrameReassembler::feed(std::string_view bytes) {
 void FrameReassembler::validate_front() {
   if (poisoned_) return;
   if (buffer_.size() >= 4) {
-    const std::uint32_t magic = read_le32(buffer_.data());
+    const std::uint32_t magic = net::get_u32(buffer_.data());
     if (magic != kFrameMagic) {
       poisoned_ = true;
       error_ = "fabric stream: bad magic at frame boundary — stream "
@@ -149,7 +140,7 @@ void FrameReassembler::validate_front() {
     }
   }
   if (buffer_.size() >= 8) {
-    const std::uint32_t len = read_le32(buffer_.data() + 4);
+    const std::uint32_t len = net::get_u32(buffer_.data() + 4);
     if (len > kMaxPayload) {
       poisoned_ = true;
       error_ = "fabric stream: length prefix " + std::to_string(len) +
@@ -162,7 +153,7 @@ void FrameReassembler::validate_front() {
 
 std::optional<std::string> FrameReassembler::next() {
   if (poisoned_ || buffer_.size() < 8) return std::nullopt;
-  const std::size_t total = kFrameOverhead + read_le32(buffer_.data() + 4);
+  const std::size_t total = kFrameOverhead + net::get_u32(buffer_.data() + 4);
   if (buffer_.size() < total) return std::nullopt;
   std::string frame = buffer_.substr(0, total);
   buffer_.erase(0, total);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "netbase/random.h"
 
@@ -10,13 +9,6 @@ namespace xmap::fabric {
 namespace {
 
 using Clock = ReliableLink::Clock;
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 BackoffPolicy worker_policy(const WorkerConfig& config) {
   // Decorrelate this worker's retransmission jitter from every other
@@ -215,8 +207,8 @@ void FabricWorker::handle_assign(const Message& assign) {
   if (assign.fingerprint != config_.fingerprint) {
     refuse_with(
         "shard " + std::to_string(assign.shard) +
-        ": scan fingerprint mismatch (stored " + hex_u64(assign.fingerprint) +
-        ", computed " + hex_u64(config_.fingerprint) +
+        ": scan fingerprint mismatch (" +
+        net::stored_computed(assign.fingerprint, config_.fingerprint) +
         ") — refusing a checkpoint handoff from a different scan");
     return;
   }

@@ -1,8 +1,8 @@
 #include "recover/checkpoint.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 
 namespace xmap::recover {
 
@@ -39,14 +39,21 @@ bool write_checkpoint(const std::string& path, const CheckpointState& state,
 
 LoadResult load_checkpoint(const std::string& path) {
   LoadResult result;
+  // file_size refuses a directory or special file before anything is
+  // sized from it.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
   std::ifstream in{path, std::ios::binary};
-  if (!in) {
+  if (ec || !in) {
     result.error = "cannot open checkpoint file " + path;
     return result;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  ParseResult parsed = parse_checkpoint(text.str());
+  std::string bytes(size, '\0');
+  if (!in.read(bytes.data(), static_cast<std::streamsize>(size))) {
+    result.error = "cannot read checkpoint file " + path;
+    return result;
+  }
+  ParseResult parsed = parse_checkpoint(bytes);
   if (!parsed.state) {
     result.error = path + ": " + parsed.error;
     return result;

@@ -2,58 +2,14 @@
 
 #include <bit>
 #include <charconv>
-#include <cinttypes>
-#include <cstdio>
-#include <mutex>
 #include <sstream>
-#include <unordered_set>
 
+#include "netbase/codec.h"
 #include "netbase/random.h"
+#include "recover/scan_codec.h"
 
 namespace xmap::recover {
 namespace {
-
-// Tokens are space-separated; anything that could contain a space, '%' or a
-// newline (help strings, future label values) is percent-escaped. "-" is
-// the reserved empty/null token.
-std::string escape_token(const std::string& s) {
-  if (s.empty()) return "-";
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == ' ' || c == '%' || c == '\n' || c == '\r' || c == '\t') {
-      char buf[4];
-      std::snprintf(buf, sizeof buf, "%%%02X",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string unescape_token(const std::string& s) {
-  if (s == "-") return "";
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      out += static_cast<char>(std::stoi(s.substr(i + 1, 2), nullptr, 16));
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
-// Exact-round-trip double encoding (hexfloat).
-std::string double_token(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
 
 std::uint64_t hash_string(std::uint64_t h, const std::string& s) {
   for (const char c : s) {
@@ -65,96 +21,6 @@ std::uint64_t hash_string(std::uint64_t h, const std::string& s) {
 
 std::uint64_t hash_double(std::uint64_t h, double v) {
   return net::hash_combine64(h, std::bit_cast<std::uint64_t>(v));
-}
-
-// TraceEvent strings must point at static storage; events parsed back from
-// a checkpoint intern their strings in a process-lifetime pool. Node-based
-// set: c_str() stays stable across inserts.
-const char* intern(const std::string& s) {
-  static std::mutex mu;
-  static std::unordered_set<std::string> pool;
-  std::lock_guard lock{mu};
-  return pool.insert(s).first->c_str();
-}
-
-// Line-oriented reader with a running line number for diagnostics.
-struct Reader {
-  std::istringstream in;
-  int line_no = 0;
-  std::string line;
-  std::string error;
-
-  explicit Reader(const std::string& text) : in(text) {}
-
-  bool next_line() {
-    while (std::getline(in, line)) {
-      ++line_no;
-      if (!line.empty()) return true;
-    }
-    return false;
-  }
-
-  bool fail(const std::string& what) {
-    if (error.empty()) {
-      error = "checkpoint line " + std::to_string(line_no) + ": " + what;
-    }
-    return false;
-  }
-};
-
-bool read_tok(std::istringstream& ls, std::string& out) {
-  return static_cast<bool>(ls >> out);
-}
-
-bool read_u64(std::istringstream& ls, std::uint64_t& out) {
-  std::string tok;
-  if (!(ls >> tok)) return false;
-  char* end = nullptr;
-  out = std::strtoull(tok.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool read_int(std::istringstream& ls, int& out) {
-  std::uint64_t v = 0;
-  std::string tok;
-  if (!(ls >> tok)) return false;
-  if (!tok.empty() && tok[0] == '-') {
-    out = std::atoi(tok.c_str());
-    return true;
-  }
-  char* end = nullptr;
-  v = std::strtoull(tok.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  out = static_cast<int>(v);
-  return true;
-}
-
-bool read_double(std::istringstream& ls, double& out) {
-  std::string tok;
-  if (!(ls >> tok)) return false;
-  char* end = nullptr;
-  out = std::strtod(tok.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
-bool read_addr(std::istringstream& ls, net::Ipv6Address& out) {
-  std::string tok;
-  if (!(ls >> tok)) return false;
-  const auto parsed = net::Ipv6Address::parse(tok);
-  if (!parsed) return false;
-  out = *parsed;
-  return true;
-}
-
-// One trace-event argument string: "-" token or interned text.
-const char* read_cstr(std::istringstream& ls, bool& ok) {
-  std::string tok;
-  if (!(ls >> tok)) {
-    ok = false;
-    return nullptr;
-  }
-  if (tok == "-") return nullptr;
-  return intern(unescape_token(tok));
 }
 
 void append_field_diff(std::string& out, const char* field,
@@ -269,128 +135,195 @@ std::uint64_t fault_plan_fingerprint(const sim::FaultPlan& plan) {
   return h;
 }
 
-std::string serialize_checkpoint(const CheckpointState& state) {
-  std::ostringstream out;
-  out << "xmap-checkpoint v" << state.version << "\n";
-  out << "quiescent " << (state.quiescent ? 1 : 0) << "\n";
-  out << "signal " << state.signal << "\n";
+namespace {
 
-  const Fingerprint& fp = state.fingerprint;
-  out << "fp seed " << fp.seed << "\n";
-  out << "fp world " << escape_token(fp.world) << "\n";
-  out << "fp window_bits " << fp.window_bits << "\n";
-  out << "fp probe_module " << escape_token(fp.probe_module) << "\n";
-  out << "fp rate " << double_token(fp.rate_pps) << "\n";
-  out << "fp shard " << fp.shard << "\n";
-  out << "fp shards " << fp.shards << "\n";
-  out << "fp threads " << fp.threads << "\n";
-  out << "fp retries " << fp.retries << "\n";
-  out << "fp retry_spacing_ms " << double_token(fp.retry_spacing_ms) << "\n";
-  out << "fp cooldown_secs " << double_token(fp.cooldown_secs) << "\n";
-  out << "fp max_probes " << fp.max_probes << "\n";
-  out << "fp adaptive_rate " << (fp.adaptive_rate ? 1 : 0) << "\n";
-  out << "fp output_format " << escape_token(fp.output_format) << "\n";
-  out << "fp blocklist " << fp.blocklist_hash << "\n";
-  out << "fp faults " << fp.fault_plan_hash << "\n";
-  out << "fp targets " << fp.targets.size() << "\n";
-  for (const auto& t : fp.targets) {
-    out << "fp target " << escape_token(t) << "\n";
-  }
+constexpr std::string_view kMagic = "xmap-checkpoint v";
+// Response + u64 when + u32 worker + u64 raw_slot.
+constexpr std::size_t kRecordBytes = kResponseBytes + 8 + 4 + 8;
+// u32 spec count + u64 frontier slot (no specs).
+constexpr std::size_t kMinCursorBytes = 4 + 8;
 
-  const scan::ScanStats& s = state.stats;
-  out << "stats " << s.targets_generated << " " << s.blocked << " " << s.sent
-      << " " << s.received << " " << s.validated << " " << s.discarded << " "
-      << s.retransmits << " " << s.duplicates << " " << s.corrupted << " "
-      << s.late << " " << s.rate_adjustments << " " << s.first_send << " "
-      << s.last_send << "\n";
-
-  out << "cursors " << state.cursors.size() << "\n";
-  for (const auto& cursor : state.cursors) {
-    out << "cursor " << cursor.frontier_slot << " "
-        << cursor.spec_steps.size();
-    for (const std::uint64_t steps : cursor.spec_steps) out << " " << steps;
-    out << "\n";
-  }
-
-  out << "records " << state.records.size() << "\n";
-  for (const auto& record : state.records) {
-    out << "r " << static_cast<int>(record.response.kind) << " "
-        << record.response.responder.to_string() << " "
-        << record.response.probe_dst.to_string() << " "
-        << static_cast<unsigned>(record.response.icmp_code) << " "
-        << static_cast<unsigned>(record.response.hop_limit) << " "
-        << record.when << " " << record.worker << " " << record.raw_slot
-        << "\n";
-  }
-
-  out << "obs " << (state.has_obs ? 1 : 0) << "\n";
-  if (state.has_obs) {
-    const auto cstr_token = [](const char* s) {
-      return s == nullptr ? std::string{"-"} : escape_token(s);
-    };
-    out << "trace " << state.trace.size() << "\n";
-    for (const auto& e : state.trace) {
-      out << "t " << e.ts << " " << e.dur << " " << cstr_token(e.name) << " "
-          << cstr_token(e.cat) << " " << cstr_token(e.addr1_key) << " "
-          << e.addr1.to_string() << " " << cstr_token(e.addr2_key) << " "
-          << e.addr2.to_string() << " " << cstr_token(e.str_key) << " "
-          << cstr_token(e.str_val) << " " << cstr_token(e.i0.key) << " "
-          << e.i0.value << " " << cstr_token(e.i1.key) << " " << e.i1.value
-          << " " << cstr_token(e.i2.key) << " " << e.i2.value << "\n";
-    }
-    out << "metrics " << state.metrics.entries.size() << "\n";
-    for (const auto& entry : state.metrics.entries) {
-      out << "m " << static_cast<int>(entry.kind) << " "
-          << (entry.wall_clock ? 1 : 0) << " " << escape_token(entry.name)
-          << " " << entry.labels.size();
-      for (const auto& [k, v] : entry.labels) {
-        out << " " << escape_token(k) << " " << escape_token(v);
-      }
-      out << " " << escape_token(entry.help);
-      if (entry.kind == obs::MetricKind::kHistogram && entry.histogram) {
-        const obs::Histogram& h = *entry.histogram;
-        out << " h " << h.bounds().size();
-        for (const std::uint64_t b : h.bounds()) out << " " << b;
-        for (const std::uint64_t c : h.counts()) out << " " << c;
-        out << " " << h.sum() << " " << h.count();
-      } else {
-        out << " v " << entry.value;
-      }
-      out << "\n";
-    }
-  }
-  out << "end\n";
-  return out.str();
+void put_int(std::string& out, int v) {
+  net::put_u32(out, static_cast<std::uint32_t>(v));
 }
 
-ParseResult parse_checkpoint(const std::string& text) {
-  ParseResult result;
-  Reader rd{text};
-  CheckpointState state;
+void put_double(std::string& out, double v) {
+  net::put_u64(out, std::bit_cast<std::uint64_t>(v));
+}
 
-  const auto expect_line = [&rd](const char* head,
-                                 std::istringstream& ls) -> bool {
-    if (!rd.next_line()) return rd.fail(std::string{"missing '"} + head + "'");
-    ls.str(rd.line);
-    ls.clear();
-    std::string tok;
-    if (!(ls >> tok) || tok != head) {
-      return rd.fail(std::string{"expected '"} + head + "', got '" + rd.line +
-                     "'");
+bool read_int(net::Reader& in, int& out, const char* field) {
+  std::uint32_t v = 0;
+  if (!in.u32(v, field)) return false;
+  out = static_cast<int>(static_cast<std::int32_t>(v));
+  return true;
+}
+
+bool read_double(net::Reader& in, double& out, const char* field) {
+  std::uint64_t v = 0;
+  if (!in.u64(v, field)) return false;
+  out = std::bit_cast<double>(v);
+  return true;
+}
+
+bool read_fingerprint(net::Reader& in, Fingerprint& fp) {
+  std::uint32_t targets = 0;
+  if (!(in.u64(fp.seed, "fingerprint seed") &&
+        in.str(fp.world, "fingerprint world") &&
+        read_int(in, fp.window_bits, "fingerprint window_bits") &&
+        in.str(fp.probe_module, "fingerprint probe_module") &&
+        read_double(in, fp.rate_pps, "fingerprint rate") &&
+        read_int(in, fp.shard, "fingerprint shard") &&
+        read_int(in, fp.shards, "fingerprint shards") &&
+        read_int(in, fp.threads, "fingerprint threads"))) {
+    return false;
+  }
+  // The engine's worker range (engine::kMaxWorkers).
+  if (fp.threads < 1 || fp.threads > 64) {
+    return in.fail("fingerprint field 'threads' is " +
+                   std::to_string(fp.threads) +
+                   ", outside the engine's 1..64 workers");
+  }
+  if (!(read_int(in, fp.retries, "fingerprint retries") &&
+        read_double(in, fp.retry_spacing_ms, "fingerprint retry_spacing_ms") &&
+        read_double(in, fp.cooldown_secs, "fingerprint cooldown_secs") &&
+        in.u64(fp.max_probes, "fingerprint max_probes") &&
+        in.flag(fp.adaptive_rate, "fingerprint adaptive_rate") &&
+        in.str(fp.output_format, "fingerprint output_format") &&
+        in.u64(fp.blocklist_hash, "fingerprint blocklist") &&
+        in.u64(fp.fault_plan_hash, "fingerprint faults") &&
+        in.count(targets, 4, "fingerprint targets"))) {
+    return false;
+  }
+  fp.targets.resize(targets);
+  for (auto& target : fp.targets) {
+    if (!in.str(target, "fingerprint target")) return false;
+  }
+  return true;
+}
+
+bool read_body(net::Reader& in, CheckpointState& state) {
+  std::uint32_t cursors = 0;
+  if (!(in.flag(state.quiescent, "quiescent") &&
+        read_int(in, state.signal, "signal") &&
+        read_fingerprint(in, state.fingerprint) &&
+        read_stats(in, state.stats) &&
+        in.count(cursors, kMinCursorBytes, "cursors"))) {
+    return false;
+  }
+  if (cursors != static_cast<std::uint32_t>(state.fingerprint.threads)) {
+    return in.fail("'cursors' count " + std::to_string(cursors) +
+                   " does not match fingerprint threads " +
+                   std::to_string(state.fingerprint.threads));
+  }
+  state.cursors.resize(cursors);
+  for (auto& cursor : state.cursors) {
+    if (!read_cursor(in, cursor, "cursor")) return false;
+  }
+
+  std::uint64_t count = 0;
+  if (!in.count(count, kRecordBytes, "records")) return false;
+  state.records.resize(count);
+  for (auto& record : state.records) {
+    std::uint32_t worker = 0;
+    if (!(read_response(in, record.response) &&
+          in.u64(record.when, "record when") &&
+          in.u32(worker, "record worker") &&
+          in.u64(record.raw_slot, "record raw_slot"))) {
+      return false;
     }
-    return true;
-  };
+    if (worker >= static_cast<std::uint32_t>(state.fingerprint.threads)) {
+      return in.fail("'record worker' " + std::to_string(worker) +
+                     " outside [0, " +
+                     std::to_string(state.fingerprint.threads) + ")");
+    }
+    record.worker = static_cast<int>(worker);
+  }
 
-  std::istringstream ls;
-  // Header: "xmap-checkpoint v<version>", the version a bare decimal.
-  constexpr std::string_view kMagic = "xmap-checkpoint v";
-  if (!rd.next_line() || rd.line.rfind(kMagic, 0) != 0) {
-    rd.fail("not an xmap checkpoint (bad header)");
-    result.error = rd.error;
+  if (!in.flag(state.has_obs, "obs")) return false;
+  if (!state.has_obs) return true;
+  if (!in.count(count, kTraceEventMinBytes, "trace events")) return false;
+  state.trace.resize(count);
+  for (auto& event : state.trace) {
+    if (!read_trace_event(in, event)) return false;
+  }
+  if (!in.count(count, kMetricsEntryMinBytes, "metrics entries")) {
+    return false;
+  }
+  state.metrics.entries.resize(count);
+  for (auto& entry : state.metrics.entries) {
+    if (!read_metrics_entry(in, entry)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+std::string serialize_checkpoint(const CheckpointState& state) {
+  std::string out;
+  out.reserve(512 + state.records.size() * kRecordBytes +
+              state.trace.size() * (kTraceEventMinBytes + 64));
+  out.append(kMagic);
+  out.append(std::to_string(state.version));
+  out.push_back('\n');
+  net::put_u8(out, state.quiescent ? 1 : 0);
+  put_int(out, state.signal);
+
+  const Fingerprint& fp = state.fingerprint;
+  net::put_u64(out, fp.seed);
+  net::put_string(out, fp.world);
+  put_int(out, fp.window_bits);
+  net::put_string(out, fp.probe_module);
+  put_double(out, fp.rate_pps);
+  put_int(out, fp.shard);
+  put_int(out, fp.shards);
+  put_int(out, fp.threads);
+  put_int(out, fp.retries);
+  put_double(out, fp.retry_spacing_ms);
+  put_double(out, fp.cooldown_secs);
+  net::put_u64(out, fp.max_probes);
+  net::put_u8(out, fp.adaptive_rate ? 1 : 0);
+  net::put_string(out, fp.output_format);
+  net::put_u64(out, fp.blocklist_hash);
+  net::put_u64(out, fp.fault_plan_hash);
+  net::put_u32(out, static_cast<std::uint32_t>(fp.targets.size()));
+  for (const auto& target : fp.targets) net::put_string(out, target);
+
+  put_stats(out, state.stats);
+  net::put_u32(out, static_cast<std::uint32_t>(state.cursors.size()));
+  for (const auto& cursor : state.cursors) put_cursor(out, cursor);
+
+  net::put_u64(out, state.records.size());
+  for (const auto& record : state.records) {
+    put_response(out, record.response);
+    net::put_u64(out, record.when);
+    net::put_u32(out, static_cast<std::uint32_t>(record.worker));
+    net::put_u64(out, record.raw_slot);
+  }
+
+  net::put_u8(out, state.has_obs ? 1 : 0);
+  if (state.has_obs) {
+    net::put_u64(out, state.trace.size());
+    for (const auto& event : state.trace) put_trace_event(out, event);
+    net::put_u64(out, state.metrics.entries.size());
+    for (const auto& entry : state.metrics.entries) {
+      put_metrics_entry(out, entry);
+    }
+  }
+  net::put_u64(out, net::fnv1a(out));
+  return out;
+}
+
+ParseResult parse_checkpoint(std::string_view bytes) {
+  ParseResult result;
+  // Header: "xmap-checkpoint v<version>\n", the version a bare decimal.
+  const std::size_t eol = bytes.find('\n');
+  if (eol == std::string_view::npos || !bytes.starts_with(kMagic)) {
+    result.error = "not an xmap checkpoint (bad header)";
     return result;
   }
+  CheckpointState state;
   const std::string_view version =
-      std::string_view{rd.line}.substr(kMagic.size());
+      bytes.substr(kMagic.size(), eol - kMagic.size());
   const char* version_end = version.data() + version.size();
   const auto [parsed_end, ec] =
       std::from_chars(version.data(), version_end, state.version);
@@ -407,312 +340,33 @@ ParseResult parse_checkpoint(const std::string& text) {
     return result;
   }
 
-  int flag = 0;
-  if (!expect_line("quiescent", ls) || !read_int(ls, flag)) {
-    rd.fail("bad 'quiescent'");
-    result.error = rd.error;
+  // Whole-file checksum before any body field is trusted.
+  const std::size_t body_start = eol + 1;
+  if (bytes.size() < body_start + 8) {
+    result.error = "checkpoint truncated: " + std::to_string(bytes.size()) +
+                   " bytes leave no room for the checksum trailer";
     return result;
   }
-  state.quiescent = flag != 0;
-  if (!expect_line("signal", ls) || !read_int(ls, state.signal)) {
-    rd.fail("bad 'signal'");
-    result.error = rd.error;
-    return result;
-  }
-
-  // Fingerprint block: "fp <field> <value>" lines in fixed order.
-  Fingerprint& fp = state.fingerprint;
-  const auto fp_line = [&](const char* field, auto&& read_value) -> bool {
-    if (!expect_line("fp", ls)) return false;
-    std::string name;
-    if (!(ls >> name) || name != field) {
-      return rd.fail(std::string{"expected fingerprint field '"} + field +
-                     "'");
-    }
-    if (!read_value(ls)) {
-      return rd.fail(std::string{"bad fingerprint value for '"} + field +
-                     "'");
-    }
-    return true;
-  };
-  std::string tok;
-  bool ok =
-      fp_line("seed", [&](auto& s) { return read_u64(s, fp.seed); }) &&
-      fp_line("world",
-              [&](auto& s) {
-                if (!read_tok(s, tok)) return false;
-                fp.world = unescape_token(tok);
-                return true;
-              }) &&
-      fp_line("window_bits",
-              [&](auto& s) { return read_int(s, fp.window_bits); }) &&
-      fp_line("probe_module",
-              [&](auto& s) {
-                if (!read_tok(s, tok)) return false;
-                fp.probe_module = unescape_token(tok);
-                return true;
-              }) &&
-      fp_line("rate", [&](auto& s) { return read_double(s, fp.rate_pps); }) &&
-      fp_line("shard", [&](auto& s) { return read_int(s, fp.shard); }) &&
-      fp_line("shards", [&](auto& s) { return read_int(s, fp.shards); }) &&
-      fp_line("threads",
-              [&](auto& s) {
-                // The engine's worker range (engine::kMaxWorkers).
-                return read_int(s, fp.threads) && fp.threads >= 1 &&
-                       fp.threads <= 64;
-              }) &&
-      fp_line("retries", [&](auto& s) { return read_int(s, fp.retries); }) &&
-      fp_line("retry_spacing_ms",
-              [&](auto& s) { return read_double(s, fp.retry_spacing_ms); }) &&
-      fp_line("cooldown_secs",
-              [&](auto& s) { return read_double(s, fp.cooldown_secs); }) &&
-      fp_line("max_probes",
-              [&](auto& s) { return read_u64(s, fp.max_probes); }) &&
-      fp_line("adaptive_rate",
-              [&](auto& s) {
-                int v = 0;
-                if (!read_int(s, v)) return false;
-                fp.adaptive_rate = v != 0;
-                return true;
-              }) &&
-      fp_line("output_format",
-              [&](auto& s) {
-                if (!read_tok(s, tok)) return false;
-                fp.output_format = unescape_token(tok);
-                return true;
-              }) &&
-      fp_line("blocklist",
-              [&](auto& s) { return read_u64(s, fp.blocklist_hash); }) &&
-      fp_line("faults",
-              [&](auto& s) { return read_u64(s, fp.fault_plan_hash); });
-  if (!ok) {
-    result.error = rd.error;
+  const std::size_t sealed = bytes.size() - 8;
+  const std::uint64_t stored = net::get_u64(bytes.data() + sealed);
+  const std::uint64_t computed = net::fnv1a(bytes.data(), sealed);
+  if (stored != computed) {
+    result.error = "checkpoint checksum mismatch: " +
+                   net::stored_computed(stored, computed) +
+                   " (corrupted or truncated checkpoint)";
     return result;
   }
 
-  std::uint64_t count = 0;
-  if (!expect_line("fp", ls) || !(ls >> tok) || tok != "targets" ||
-      !read_u64(ls, count)) {
-    rd.fail("bad 'fp targets'");
-    result.error = rd.error;
+  net::Reader in{bytes.substr(body_start, sealed - body_start), "checkpoint"};
+  if (!read_body(in, state)) {
+    result.error = in.error();
     return result;
   }
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (!expect_line("fp", ls) || !(ls >> tok) || tok != "target" ||
-        !read_tok(ls, tok)) {
-      rd.fail("bad 'fp target'");
-      result.error = rd.error;
-      return result;
-    }
-    fp.targets.push_back(unescape_token(tok));
-  }
-
-  scan::ScanStats& s = state.stats;
-  if (!expect_line("stats", ls) || !read_u64(ls, s.targets_generated) ||
-      !read_u64(ls, s.blocked) || !read_u64(ls, s.sent) ||
-      !read_u64(ls, s.received) || !read_u64(ls, s.validated) ||
-      !read_u64(ls, s.discarded) || !read_u64(ls, s.retransmits) ||
-      !read_u64(ls, s.duplicates) || !read_u64(ls, s.corrupted) ||
-      !read_u64(ls, s.late) || !read_u64(ls, s.rate_adjustments) ||
-      !read_u64(ls, s.first_send) || !read_u64(ls, s.last_send)) {
-    rd.fail("bad 'stats'");
-    result.error = rd.error;
+  if (in.remaining() != 0) {
+    result.error = "checkpoint: " + std::to_string(in.remaining()) +
+                   " trailing bytes after the body";
     return result;
   }
-
-  if (!expect_line("cursors", ls) || !read_u64(ls, count)) {
-    rd.fail("bad 'cursors'");
-    result.error = rd.error;
-    return result;
-  }
-  for (std::uint64_t i = 0; i < count; ++i) {
-    WorkerCursor cursor;
-    std::uint64_t nspecs = 0;
-    if (!expect_line("cursor", ls) || !read_u64(ls, cursor.frontier_slot) ||
-        !read_u64(ls, nspecs)) {
-      rd.fail("bad 'cursor'");
-      result.error = rd.error;
-      return result;
-    }
-    for (std::uint64_t j = 0; j < nspecs; ++j) {
-      std::uint64_t steps = 0;
-      if (!read_u64(ls, steps)) {
-        rd.fail("bad 'cursor' spec steps");
-        result.error = rd.error;
-        return result;
-      }
-      cursor.spec_steps.push_back(steps);
-    }
-    state.cursors.push_back(std::move(cursor));
-  }
-
-  if (!expect_line("records", ls) || !read_u64(ls, count)) {
-    rd.fail("bad 'records'");
-    result.error = rd.error;
-    return result;
-  }
-  state.records.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    CheckpointRecord record;
-    int kind = 0;
-    int icmp_code = 0;
-    int hop_limit = 0;
-    if (!expect_line("r", ls) || !read_int(ls, kind) ||
-        !read_addr(ls, record.response.responder) ||
-        !read_addr(ls, record.response.probe_dst) ||
-        !read_int(ls, icmp_code) || !read_int(ls, hop_limit) ||
-        !read_u64(ls, record.when) || !read_int(ls, record.worker) ||
-        !read_u64(ls, record.raw_slot)) {
-      rd.fail("bad record");
-      result.error = rd.error;
-      return result;
-    }
-    record.response.kind = static_cast<scan::ResponseKind>(kind);
-    record.response.icmp_code = static_cast<std::uint8_t>(icmp_code);
-    record.response.hop_limit = static_cast<std::uint8_t>(hop_limit);
-    state.records.push_back(record);
-  }
-
-  if (!expect_line("obs", ls) || !read_int(ls, flag)) {
-    rd.fail("bad 'obs'");
-    result.error = rd.error;
-    return result;
-  }
-  state.has_obs = flag != 0;
-  if (state.has_obs) {
-    if (!expect_line("trace", ls) || !read_u64(ls, count)) {
-      rd.fail("bad 'trace'");
-      result.error = rd.error;
-      return result;
-    }
-    state.trace.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      obs::TraceEvent e;
-      bool str_ok = true;
-      if (!expect_line("t", ls) || !read_u64(ls, e.ts) ||
-          !read_u64(ls, e.dur)) {
-        rd.fail("bad trace event");
-        result.error = rd.error;
-        return result;
-      }
-      const char* name = read_cstr(ls, str_ok);
-      const char* cat = read_cstr(ls, str_ok);
-      e.name = name != nullptr ? name : "";
-      e.cat = cat != nullptr ? cat : "";
-      e.addr1_key = read_cstr(ls, str_ok);
-      if (!str_ok || !read_addr(ls, e.addr1)) {
-        rd.fail("bad trace event addr1");
-        result.error = rd.error;
-        return result;
-      }
-      e.addr2_key = read_cstr(ls, str_ok);
-      if (!str_ok || !read_addr(ls, e.addr2)) {
-        rd.fail("bad trace event addr2");
-        result.error = rd.error;
-        return result;
-      }
-      e.str_key = read_cstr(ls, str_ok);
-      e.str_val = read_cstr(ls, str_ok);
-      e.i0.key = read_cstr(ls, str_ok);
-      if (!str_ok || !read_u64(ls, e.i0.value)) {
-        rd.fail("bad trace event i0");
-        result.error = rd.error;
-        return result;
-      }
-      e.i1.key = read_cstr(ls, str_ok);
-      if (!str_ok || !read_u64(ls, e.i1.value)) {
-        rd.fail("bad trace event i1");
-        result.error = rd.error;
-        return result;
-      }
-      e.i2.key = read_cstr(ls, str_ok);
-      if (!str_ok || !read_u64(ls, e.i2.value)) {
-        rd.fail("bad trace event i2");
-        result.error = rd.error;
-        return result;
-      }
-      state.trace.push_back(e);
-    }
-
-    if (!expect_line("metrics", ls) || !read_u64(ls, count)) {
-      rd.fail("bad 'metrics'");
-      result.error = rd.error;
-      return result;
-    }
-    state.metrics.entries.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      obs::MetricsSnapshot::Entry entry;
-      int kind = 0;
-      std::uint64_t nlabels = 0;
-      if (!expect_line("m", ls) || !read_int(ls, kind) ||
-          !read_int(ls, flag) || !read_tok(ls, tok) ||
-          !read_u64(ls, nlabels)) {
-        rd.fail("bad metric entry");
-        result.error = rd.error;
-        return result;
-      }
-      entry.kind = static_cast<obs::MetricKind>(kind);
-      entry.wall_clock = flag != 0;
-      entry.name = unescape_token(tok);
-      for (std::uint64_t j = 0; j < nlabels; ++j) {
-        std::string k, v;
-        if (!read_tok(ls, k) || !read_tok(ls, v)) {
-          rd.fail("bad metric labels");
-          result.error = rd.error;
-          return result;
-        }
-        entry.labels.emplace_back(unescape_token(k), unescape_token(v));
-      }
-      std::string marker;
-      if (!read_tok(ls, tok) || !read_tok(ls, marker)) {
-        rd.fail("bad metric help/marker");
-        result.error = rd.error;
-        return result;
-      }
-      entry.help = unescape_token(tok);
-      if (marker == "v") {
-        if (!read_u64(ls, entry.value)) {
-          rd.fail("bad metric value");
-          result.error = rd.error;
-          return result;
-        }
-      } else if (marker == "h") {
-        std::uint64_t nbounds = 0;
-        if (!read_u64(ls, nbounds)) {
-          rd.fail("bad histogram bounds count");
-          result.error = rd.error;
-          return result;
-        }
-        std::vector<std::uint64_t> bounds(nbounds);
-        std::vector<std::uint64_t> counts(nbounds + 1);
-        std::uint64_t sum = 0;
-        std::uint64_t n = 0;
-        bool nums_ok = true;
-        for (auto& b : bounds) nums_ok = nums_ok && read_u64(ls, b);
-        for (auto& c : counts) nums_ok = nums_ok && read_u64(ls, c);
-        nums_ok = nums_ok && read_u64(ls, sum) && read_u64(ls, n);
-        if (!nums_ok) {
-          rd.fail("bad histogram data");
-          result.error = rd.error;
-          return result;
-        }
-        entry.histogram = obs::Histogram::from_parts(
-            std::move(bounds), std::move(counts), sum, n);
-      } else {
-        rd.fail("unknown metric marker '" + marker + "'");
-        result.error = rd.error;
-        return result;
-      }
-      state.metrics.entries.push_back(std::move(entry));
-    }
-  }
-
-  if (!expect_line("end", ls)) {
-    rd.fail("missing 'end' (truncated checkpoint)");
-    result.error = rd.error;
-    return result;
-  }
-
   result.state = std::move(state);
   return result;
 }

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -28,15 +29,16 @@
 #include "sim/faults.h"
 #include "xmap/blocklist.h"
 #include "xmap/probe_module.h"
+#include "xmap/scanner.h"
 #include "xmap/stats.h"
 #include "xmap/target_spec.h"
 
 namespace xmap::recover {
 
-// v2: every scan runs on the engine, so fp threads is a worker count in
-// 1..64. A v1 file may record threads 0 (a single-thread path no build
-// resumes any more), so v1 is refused by version.
-inline constexpr int kCheckpointVersion = 2;
+// v3: a binary body sealed by a whole-file FNV-1a checksum (see
+// serialize_checkpoint). v2 (line-based text with no checksum) and v1 are
+// refused by version.
+inline constexpr int kCheckpointVersion = 3;
 
 // The scan-configuration identity a checkpoint is bound to. Every field
 // that changes which packets go on the wire (or how records serialize) is
@@ -79,16 +81,9 @@ struct Fingerprint {
 // scan configuration with a "stored …, computed …" diagnostic.
 [[nodiscard]] std::uint64_t fingerprint_hash(const Fingerprint&);
 
-// One worker's permutation position: shard-local raw-cycle steps consumed
-// per target spec (the fast-forward argument), plus the global raw slot of
-// the first target the resumed worker will draw (used to filter records in
-// non-quiescent checkpoints; informational otherwise).
-struct WorkerCursor {
-  std::vector<std::uint64_t> spec_steps;
-  std::uint64_t frontier_slot = 0;
-};
-
-// One collected response, as the resumed process must re-emit it.
+// One collected response, as the resumed process must re-emit it. The
+// engine's record stream is made of these (engine::EngineRecord), so a
+// checkpoint takes and gives back records without conversion.
 struct CheckpointRecord {
   scan::ProbeResponse response;
   std::uint64_t when = 0;  // sim-clock arrival (sim::SimTime)
@@ -108,14 +103,24 @@ struct CheckpointState {
   int signal = 0;  // the signal that triggered it (0 = none/periodic)
   Fingerprint fingerprint;
   scan::ScanStats stats;  // merged over workers, cumulative across resumes
-  std::vector<WorkerCursor> cursors;  // one per worker (size == threads)
+  // One per worker (size == fingerprint.threads): shard-local raw-cycle
+  // steps consumed per target spec (the fast-forward argument), plus the
+  // global raw slot of the first target the resumed worker will draw (the
+  // record filter of non-quiescent checkpoints).
+  std::vector<scan::ScanCursor> cursors;
   std::vector<CheckpointRecord> records;
   bool has_obs = false;  // trace/metrics sections present (quiescent only)
   std::vector<obs::TraceEvent> trace;
   obs::MetricsSnapshot metrics;
 };
 
-// Serializes to the versioned line-based text form ("xmap-checkpoint v2").
+// Serializes to checkpoint v3:
+//
+//   "xmap-checkpoint v3\n" | binary body | u64 FNV-1a(every byte before it)
+//
+// The text header keeps the version readable (and refusable) on its own.
+// The body is written with the netbase codec and the shared scan-type
+// encoders (scan_codec.h); see docs/recovery.md for the field layout.
 [[nodiscard]] std::string serialize_checkpoint(const CheckpointState& state);
 
 struct ParseResult {
@@ -123,8 +128,11 @@ struct ParseResult {
   std::string error;
 };
 
-// Parses serialize_checkpoint() output; rejects unknown versions, missing
-// sections and malformed lines with a diagnostic naming the bad line.
-[[nodiscard]] ParseResult parse_checkpoint(const std::string& text);
+// Parses serialize_checkpoint() output. Refuses other versions, a checksum
+// mismatch ("stored 0x…, computed 0x…"), truncation, out-of-range enums and
+// flags, a cursor count other than the fingerprint's worker count, and a
+// record whose worker is outside it, each with a diagnostic naming the
+// field.
+[[nodiscard]] ParseResult parse_checkpoint(std::string_view bytes);
 
 }  // namespace xmap::recover

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "netbase/codec.h"
 #include "netbase/random.h"
 
 namespace xmap::sim {
@@ -20,15 +21,6 @@ constexpr std::uint64_t kSaltSilent = 0x73696c74;   // "silt"
 // most one epoch boundary (durations are capped at one epoch), so any query
 // only needs epochs k and k-1.
 constexpr SimTime kBurstEpoch = kSecond;
-
-std::uint64_t fnv1a64(const pkt::Bytes& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto b : bytes) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 double keyed_unit(std::uint64_t key, std::uint64_t salt) {
   const std::uint64_t v = net::mix64(net::hash_combine64(key, salt));
@@ -194,7 +186,7 @@ FaultInjector::Verdict FaultInjector::on_transmit(LinkId link, LinkClass cls,
     return verdict;
   }
 
-  const std::uint64_t pkt_hash = fnv1a64(packet);
+  const std::uint64_t pkt_hash = net::fnv1a(packet.data(), packet.size());
   const std::uint64_t pair_key =
       net::hash_combine64(net::hash_combine64(seed_, link), pkt_hash);
   const std::uint32_t attempt = attempts_[pair_key]++;
@@ -274,13 +266,8 @@ FabricMessageVerdict fabric_message_verdict(
   const FabricMessageFaults& m = plan.messages;
   if (!m.any()) return verdict;
 
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto* bytes = static_cast<const std::uint8_t*>(frame);
-  for (std::size_t i = 0; i < frame_len; ++i) {
-    h ^= static_cast<std::uint64_t>(bytes[i]);
-    h *= 0x100000001b3ULL;
-  }
-  std::uint64_t key = net::hash_combine64(plan.seed, h);
+  std::uint64_t key =
+      net::hash_combine64(plan.seed, net::fnv1a(frame, frame_len));
   key = net::hash_combine64(key, endpoint);
   key = net::hash_combine64(key, to_coordinator ? 1 : 0);
   key = net::hash_combine64(key, attempt);

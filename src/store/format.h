@@ -20,8 +20,9 @@
 //   [trailer]          whole-file checksum + payload length + end magic,
 //                      so truncation and bit flips are always detected
 //
-// Every multi-byte scalar is little-endian and accessed through memcpy
-// (the file may be mmap'd at arbitrary alignment). Writers produce the
+// Every multi-byte scalar is little-endian and read with the netbase
+// codec's alignment-agnostic loads (the file may be mmap'd at arbitrary
+// alignment); the checksums are its FNV-1a. Writers produce the
 // sections deterministically: the same record set yields byte-identical
 // files regardless of producer thread count.
 #pragma once
@@ -31,6 +32,7 @@
 #include <cstdint>
 #include <string>
 
+#include "netbase/codec.h"
 #include "netbase/ipv6.h"
 
 namespace xmap::store {
@@ -102,31 +104,6 @@ struct BlockInfo {
   std::uint32_t used_bytes = 0;
   std::uint64_t checksum = 0;  // FNV-1a over the full block_bytes
 };
-
-// --- primitives shared by writer, loader and tests ------------------------
-
-// FNV-1a 64-bit over a byte range (the per-block and whole-file checksum).
-[[nodiscard]] std::uint64_t fnv1a(const void* data, std::size_t len,
-                                  std::uint64_t seed = 0xcbf29ce484222325ULL);
-
-// Little-endian scalar put/get through memcpy (alignment-agnostic).
-void put_u16(std::string& out, std::uint16_t v);
-void put_u32(std::string& out, std::uint32_t v);
-void put_u64(std::string& out, std::uint64_t v);
-[[nodiscard]] std::uint16_t get_u16(const char* p);
-[[nodiscard]] std::uint32_t get_u32(const char* p);
-[[nodiscard]] std::uint64_t get_u64(const char* p);
-
-// LEB128 varints (unsigned little-endian base-128).
-void put_varint64(std::string& out, std::uint64_t v);
-void put_varint128(std::string& out, net::Uint128 v);
-
-// Bounds-checked varint readers: advance *pos, return false on overrun or
-// over-long encodings.
-[[nodiscard]] bool get_varint64(const char* data, std::size_t len,
-                                std::size_t* pos, std::uint64_t* out);
-[[nodiscard]] bool get_varint128(const char* data, std::size_t len,
-                                 std::size_t* pos, net::Uint128* out);
 
 // Serializes `header` into its fixed 128-byte form (and back). parse
 // validates magic and structural invariants only — version and offset

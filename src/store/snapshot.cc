@@ -7,22 +7,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
 namespace xmap::store {
-
-namespace {
-
-[[nodiscard]] std::string hex64(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-}  // namespace
 
 Snapshot::~Snapshot() {
   if (map_ != nullptr) ::munmap(map_, size_);
@@ -110,8 +98,8 @@ std::string Snapshot::validate_and_index() {
     return "truncated: end marker missing (file cut short or still being "
            "written)";
   }
-  const std::uint64_t stored_hash = get_u64(trailer);
-  const std::uint64_t stored_len = get_u64(trailer + 8);
+  const std::uint64_t stored_hash = net::get_u64(trailer);
+  const std::uint64_t stored_len = net::get_u64(trailer + 8);
   if (stored_len != size_ - kTrailerBytes) {
     return "truncated: trailer says the payload is " +
            std::to_string(stored_len) + " bytes but the file holds " +
@@ -122,10 +110,11 @@ std::string Snapshot::validate_and_index() {
            std::to_string(header_.trailer_offset) + ", trailer " +
            std::to_string(stored_len);
   }
-  const std::uint64_t computed_hash = fnv1a(data_, size_ - kTrailerBytes);
+  const std::uint64_t computed_hash = net::fnv1a(data_, size_ - kTrailerBytes);
   if (computed_hash != stored_hash) {
-    return "whole-file checksum mismatch: stored " + hex64(stored_hash) +
-           ", computed " + hex64(computed_hash) + " (corrupted store)";
+    return "whole-file checksum mismatch: " +
+           net::stored_computed(stored_hash, computed_hash) +
+           " (corrupted store)";
   }
 
   // Section offsets must tile [header, trailer) in order.
@@ -154,11 +143,10 @@ std::string Snapshot::validate_and_index() {
     }
     const char* block =
         data_ + kHeaderBytes + b * static_cast<std::size_t>(header_.block_bytes);
-    const std::uint64_t sum = fnv1a(block, header_.block_bytes);
+    const std::uint64_t sum = net::fnv1a(block, header_.block_bytes);
     if (sum != info.checksum) {
-      return "block " + std::to_string(b) + " checksum mismatch: stored " +
-             hex64(info.checksum) + ", computed " + hex64(sum) +
-             " (corrupted store)";
+      return "block " + std::to_string(b) + " checksum mismatch: " +
+             net::stored_computed(info.checksum, sum) + " (corrupted store)";
     }
     if (!index_.empty() && !(index_.back().first_key < info.first_key)) {
       return "block " + std::to_string(b) +
@@ -215,7 +203,7 @@ std::string Snapshot::validate_and_index() {
     const char* geo = data_ + header_.geo_offset;
     const std::size_t geo_len = header_.vendor_offset - header_.geo_offset;
     if (geo_len < 8) return "geo section is too small for its entry count";
-    const std::uint64_t count = get_u64(geo);
+    const std::uint64_t count = net::get_u64(geo);
     std::size_t pos = 8;
     geo_.clear();
     geo_.reserve(count);
@@ -224,17 +212,16 @@ std::string Snapshot::validate_and_index() {
         return "geo entry " + std::to_string(i) + " overruns its section";
       }
       GeoEntry g;
-      std::array<std::uint8_t, 16> addr{};
-      std::memcpy(addr.data(), geo + pos, 16);
+      const net::Ipv6Address addr = net::get_addr(geo + pos);
       pos += 16;
       const int len = static_cast<unsigned char>(geo[pos++]);
       if (len > 128) {
         return "geo entry " + std::to_string(i) + " has prefix length " +
                std::to_string(len);
       }
-      g.prefix = net::Ipv6Prefix{net::Ipv6Address{addr}, len};
+      g.prefix = net::Ipv6Prefix{addr, len};
       std::uint64_t asn = 0;
-      if (!get_varint64(geo, geo_len, &pos, &asn) || asn > 0xffffffffULL) {
+      if (!net::get_varint64(geo, geo_len, &pos, &asn) || asn > 0xffffffffULL) {
         return "geo entry " + std::to_string(i) + " has a malformed ASN";
       }
       g.asn = static_cast<std::uint32_t>(asn);
@@ -244,7 +231,7 @@ std::string Snapshot::validate_and_index() {
       g.country = {geo[pos], geo[pos + 1]};
       pos += 2;
       std::uint64_t name_len = 0;
-      if (!get_varint64(geo, geo_len, &pos, &name_len) ||
+      if (!net::get_varint64(geo, geo_len, &pos, &name_len) ||
           pos + name_len > geo_len) {
         return "geo entry " + std::to_string(i) + " has a malformed AS name";
       }
@@ -269,7 +256,7 @@ std::string Snapshot::validate_and_index() {
     const char* ven = data_ + header_.vendor_offset;
     const std::size_t ven_len = header_.trailer_offset - header_.vendor_offset;
     if (ven_len < 4) return "vendor table is too small for its entry count";
-    const std::uint32_t count = get_u32(ven);
+    const std::uint32_t count = net::get_u32(ven);
     if (count > 0xffff) {
       return "vendor table declares " + std::to_string(count) +
              " names (limit 65535)";
@@ -279,7 +266,7 @@ std::string Snapshot::validate_and_index() {
     vendors_.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       std::uint64_t len = 0;
-      if (!get_varint64(ven, ven_len, &pos, &len) || pos + len > ven_len) {
+      if (!net::get_varint64(ven, ven_len, &pos, &len) || pos + len > ven_len) {
         return "vendor name " + std::to_string(i) + " overruns its table";
       }
       vendors_.emplace_back(ven + pos, len);

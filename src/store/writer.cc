@@ -128,7 +128,7 @@ std::string StoreBuilder::serialize() {
     if (open.record_count == 0) return;
     open.used_bytes = static_cast<std::uint32_t>(blocks.size() - block_start);
     blocks.resize(block_start + block_bytes_, '\0');
-    open.checksum = fnv1a(blocks.data() + block_start, block_bytes_);
+    open.checksum = net::fnv1a(blocks.data() + block_start, block_bytes_);
     index.push_back(open);
     block_start = blocks.size();
     open = BlockInfo{};
@@ -165,23 +165,23 @@ std::string StoreBuilder::serialize() {
   header.geo_offset = header.index_offset + index.size() * kIndexEntryBytes;
 
   std::string geo_bytes;
-  put_u64(geo_bytes, geo_.size());
+  net::put_u64(geo_bytes, geo_.size());
   for (const GeoEntry& g : geo_) {
     geo_bytes.append(
         reinterpret_cast<const char*>(g.prefix.address().bytes().data()), 16);
     geo_bytes.push_back(static_cast<char>(g.prefix.length()));
-    put_varint64(geo_bytes, g.asn);
+    net::put_varint64(geo_bytes, g.asn);
     geo_bytes.push_back(g.country[0]);
     geo_bytes.push_back(g.country[1]);
-    put_varint64(geo_bytes, g.as_name.size());
+    net::put_varint64(geo_bytes, g.as_name.size());
     geo_bytes += g.as_name;
   }
   header.vendor_offset = header.geo_offset + geo_bytes.size();
 
   std::string vendor_bytes;
-  put_u32(vendor_bytes, static_cast<std::uint32_t>(sorted_names.size()));
+  net::put_u32(vendor_bytes, static_cast<std::uint32_t>(sorted_names.size()));
   for (const std::string& name : sorted_names) {
-    put_varint64(vendor_bytes, name.size());
+    net::put_varint64(vendor_bytes, name.size());
     vendor_bytes += name;
   }
   header.trailer_offset = header.vendor_offset + vendor_bytes.size();
@@ -192,9 +192,9 @@ std::string StoreBuilder::serialize() {
   for (const BlockInfo& info : index) out += serialize_index_entry(info);
   out += geo_bytes;
   out += vendor_bytes;
-  const std::uint64_t file_hash = fnv1a(out.data(), out.size());
-  put_u64(out, file_hash);
-  put_u64(out, header.trailer_offset);
+  const std::uint64_t file_hash = net::fnv1a(out.data(), out.size());
+  net::put_u64(out, file_hash);
+  net::put_u64(out, header.trailer_offset);
   out.append(kEndMagic, sizeof kEndMagic);
   return out;
 }

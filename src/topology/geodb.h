@@ -7,7 +7,7 @@
 #include <string>
 #include <utility>
 
-#include "topology/prefix_map.h"
+#include "netbase/prefix_map.h"
 
 namespace xmap::topo {
 
@@ -40,7 +40,7 @@ class GeoDb {
   }
 
  private:
-  PrefixMap<GeoInfo> map_;
+  net::PrefixMap<GeoInfo> map_;
 };
 
 }  // namespace xmap::topo

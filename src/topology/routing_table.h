@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "topology/prefix_map.h"
+#include "netbase/prefix_map.h"
 
 namespace xmap::topo {
 
@@ -65,7 +65,7 @@ class RoutingTable {
   }
 
  private:
-  PrefixMap<Route> map_;
+  net::PrefixMap<Route> map_;
 };
 
 }  // namespace xmap::topo

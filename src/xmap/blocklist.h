@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "netbase/random.h"
-#include "topology/prefix_map.h"
+#include "netbase/prefix_map.h"
 
 namespace xmap::scan {
 
@@ -64,8 +64,8 @@ class Blocklist {
         h, static_cast<std::uint64_t>(prefix.length()));
   }
 
-  topo::PrefixMap<char> blocked_;
-  topo::PrefixMap<char> allowed_;
+  net::PrefixMap<char> blocked_;
+  net::PrefixMap<char> allowed_;
   bool has_allowlist_ = false;
   std::uint64_t fp_ = 0;
 };

@@ -76,16 +76,11 @@ EngineResult interrupt_and_resume(const EngineConfig& base,
 
   recover::CheckpointState state;
   state.quiescent = true;
+  state.fingerprint.threads = base.threads;
   state.stats = interrupted.stats;
-  for (const auto& cursor : interrupted.cursors) {
-    state.cursors.push_back(
-        recover::WorkerCursor{cursor.spec_steps, cursor.frontier_slot});
-  }
-  for (const auto& r : interrupted.records) {
-    state.records.push_back(
-        recover::CheckpointRecord{r.response, r.when, r.worker, r.raw_slot});
-  }
-  // Round-trip through the text format so the test also covers what a real
+  state.cursors = interrupted.cursors;
+  state.records = interrupted.records;
+  // Round-trip through the file format so the test also covers what a real
   // resume reads off disk.
   auto parsed =
       recover::parse_checkpoint(recover::serialize_checkpoint(state));
@@ -181,14 +176,8 @@ TEST(Resume, SurvivesChainedInterrupts) {
   recover::CheckpointState state1;
   state1.quiescent = true;
   state1.stats = first.stats;
-  for (const auto& c : first.cursors) {
-    state1.cursors.push_back(
-        recover::WorkerCursor{c.spec_steps, c.frontier_slot});
-  }
-  for (const auto& r : first.records) {
-    state1.records.push_back(
-        recover::CheckpointRecord{r.response, r.when, r.worker, r.raw_slot});
-  }
+  state1.cursors = first.cursors;
+  state1.records = first.records;
 
   EngineConfig second_cut = base;
   second_cut.resume = &state1;
@@ -199,14 +188,8 @@ TEST(Resume, SurvivesChainedInterrupts) {
   recover::CheckpointState state2;
   state2.quiescent = true;
   state2.stats = second.stats;
-  for (const auto& c : second.cursors) {
-    state2.cursors.push_back(
-        recover::WorkerCursor{c.spec_steps, c.frontier_slot});
-  }
-  for (const auto& r : second.records) {
-    state2.records.push_back(
-        recover::CheckpointRecord{r.response, r.when, r.worker, r.raw_slot});
-  }
+  state2.cursors = second.cursors;
+  state2.records = second.records;
 
   EngineConfig final_leg = base;
   final_leg.resume = &state2;
@@ -252,6 +235,9 @@ TEST(Resume, PeriodicCheckpointRegeneratesTailExactly) {
       EXPECT_LT(r.raw_slot, snapshot->cursors[r.worker].frontier_slot);
     }
 
+    // The CLI stamps the fingerprint; the parser checks its worker count
+    // against the cursors.
+    snapshot->fingerprint.threads = threads;
     auto round =
         recover::parse_checkpoint(recover::serialize_checkpoint(*snapshot));
     ASSERT_TRUE(round.state.has_value()) << round.error;

@@ -1,16 +1,19 @@
 // Unit tests for the checkpoint state format: exact serialize/parse
 // round-trips (records, cursors, trace events, metrics with histograms),
-// field-precise fingerprint diffs, version/truncation rejection, and the
-// atomic file writer.
+// field-precise fingerprint diffs, version/truncation/field rejection, and
+// the atomic file writer. Every-offset truncation and every-bit flips are
+// in tests/fuzz/checkpoint_fuzz_test.cc.
 #include "recover/state.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "netbase/codec.h"
 #include "recover/checkpoint.h"
 
 namespace xmap::recover {
@@ -57,8 +60,11 @@ CheckpointState sample_state() {
   state.stats.first_send = 1000;
   state.stats.last_send = 999000;
 
-  state.cursors.push_back(WorkerCursor{{12, 34}, 40});
-  state.cursors.push_back(WorkerCursor{{13, 33}, 41});
+  // One cursor per worker (fp threads 4).
+  state.cursors.push_back(scan::ScanCursor{{12, 34}, 40});
+  state.cursors.push_back(scan::ScanCursor{{13, 33}, 41});
+  state.cursors.push_back(scan::ScanCursor{{14, 32}, 42});
+  state.cursors.push_back(scan::ScanCursor{{15, 31}, 43});
 
   CheckpointRecord record;
   record.response.kind = scan::ResponseKind::kEchoReply;
@@ -84,14 +90,15 @@ CheckpointState sample_state() {
   event.addr1_key = "target";
   event.addr1 = *net::Ipv6Address::parse("2001:db8::9");
   event.str_key = "note";
-  event.str_val = "with space";  // exercises percent-escaping
+  event.str_val = "with space";
   event.i0.key = "slot";
   event.i0.value = 99;
+  event.i1.key = "";  // empty, not null: must come back as ""
   state.trace.push_back(event);
 
   obs::MetricsSnapshot::Entry counter;
   counter.name = "probes_sent_total";
-  counter.labels = {{"module", "tcp syn"}};
+  counter.labels = {{"module", "tcp syn"}, {"stage", "-"}};
   counter.kind = obs::MetricKind::kCounter;
   counter.value = 97;
   counter.help = "Probes handed to the channel";
@@ -100,6 +107,7 @@ CheckpointState sample_state() {
   obs::MetricsSnapshot::Entry histogram;
   histogram.name = "rtt_us";
   histogram.kind = obs::MetricKind::kHistogram;
+  histogram.help = "-";
   histogram.histogram =
       obs::Histogram::from_parts({10, 100, 1000}, {1, 2, 3, 4}, 4321, 10);
   state.metrics.entries.push_back(histogram);
@@ -119,7 +127,7 @@ TEST(CheckpointState, RoundTripsExactly) {
   EXPECT_EQ(back.fingerprint, state.fingerprint);
   EXPECT_EQ(back.stats, state.stats);
 
-  ASSERT_EQ(back.cursors.size(), 2u);
+  ASSERT_EQ(back.cursors.size(), 4u);
   EXPECT_EQ(back.cursors[0].spec_steps, state.cursors[0].spec_steps);
   EXPECT_EQ(back.cursors[0].frontier_slot, 40u);
   EXPECT_EQ(back.cursors[1].spec_steps, state.cursors[1].spec_steps);
@@ -147,16 +155,20 @@ TEST(CheckpointState, RoundTripsExactly) {
   EXPECT_STREQ(back.trace[0].str_val, "with space");
   EXPECT_STREQ(back.trace[0].i0.key, "slot");
   EXPECT_EQ(back.trace[0].i0.value, 99u);
-  EXPECT_EQ(back.trace[0].i1.key, nullptr);
+  ASSERT_NE(back.trace[0].i1.key, nullptr);
+  EXPECT_STREQ(back.trace[0].i1.key, "");
+  EXPECT_EQ(back.trace[0].i2.key, nullptr);
 
   ASSERT_EQ(back.metrics.entries.size(), 2u);
   EXPECT_EQ(back.metrics.entries[0].name, "probes_sent_total");
-  ASSERT_EQ(back.metrics.entries[0].labels.size(), 1u);
+  ASSERT_EQ(back.metrics.entries[0].labels.size(), 2u);
   EXPECT_EQ(back.metrics.entries[0].labels[0].second, "tcp syn");
+  EXPECT_EQ(back.metrics.entries[0].labels[1].second, "-");
   EXPECT_EQ(back.metrics.entries[0].value, 97u);
   EXPECT_EQ(back.metrics.entries[0].help, "Probes handed to the channel");
   const auto& h = back.metrics.entries[1];
   EXPECT_EQ(h.kind, obs::MetricKind::kHistogram);
+  EXPECT_EQ(h.help, "-");
   ASSERT_TRUE(h.histogram.has_value());
   EXPECT_EQ(h.histogram->bounds(), (std::vector<std::uint64_t>{10, 100, 1000}));
   EXPECT_EQ(h.histogram->counts(), (std::vector<std::uint64_t>{1, 2, 3, 4}));
@@ -194,9 +206,10 @@ TEST(CheckpointState, ExactDoubleRoundTrip) {
 }
 
 TEST(CheckpointState, RejectsUnknownVersion) {
-  // Other versions (v1 is the pre-engine-only format) and malformed
-  // headers are refused with a diagnostic naming the version as written.
-  for (const char* version : {"v99", "v1", "v2junk", "v"}) {
+  // Other versions (v1 is the pre-engine-only format, v2 the unchecksummed
+  // text format) and malformed headers are refused with a diagnostic
+  // naming the version as written.
+  for (const char* version : {"v99", "v1", "v2", "v2junk", "v"}) {
     std::string text = serialize_checkpoint(sample_state());
     text.replace(0, text.find('\n'),
                  std::string{"xmap-checkpoint "} + version);
@@ -220,27 +233,66 @@ TEST(CheckpointState, RejectsTruncation) {
   }
 }
 
-TEST(CheckpointState, RejectsGarbageWithLineDiagnostic) {
+// Recomputes the whole-file checksum trailer after a deliberate edit, so
+// the field check under test (not the checksum) is what refuses the file.
+void reseal(std::string& bytes) {
+  const std::size_t sealed = bytes.size() - 8;
+  const std::uint64_t sum = net::fnv1a(bytes.data(), sealed);
+  std::memcpy(bytes.data() + sealed, &sum, 8);
+}
+
+void expect_refused(const CheckpointState& state, const char* field) {
+  auto parsed = parse_checkpoint(serialize_checkpoint(state));
+  ASSERT_FALSE(parsed.state.has_value()) << field;
+  EXPECT_NE(parsed.error.find(field), std::string::npos) << parsed.error;
+}
+
+TEST(CheckpointState, RejectsGarbageWithFieldDiagnostic) {
+  // An edited body byte without a resealed trailer is a checksum mismatch
+  // naming both sides.
   std::string text = serialize_checkpoint(sample_state());
-  const auto pos = text.find("stats ");
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 6, "statz ");
+  text[text.size() / 2] ^= 0x10;
   auto parsed = parse_checkpoint(text);
   ASSERT_FALSE(parsed.state.has_value());
-  EXPECT_NE(parsed.error.find("checkpoint line"), std::string::npos)
+  EXPECT_NE(parsed.error.find("checksum mismatch: stored 0x"),
+            std::string::npos)
+      << parsed.error;
+
+  // Record kind 77, resealed: refused by the kind check. The kind byte
+  // sits three bytes before the first record's responder address.
+  text = serialize_checkpoint(sample_state());
+  const net::Ipv6Address responder =
+      sample_state().records[0].response.responder;
+  const auto at = text.find(std::string_view{
+      reinterpret_cast<const char*>(responder.bytes().data()), 16});
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(text[at - 3],
+            static_cast<char>(scan::ResponseKind::kEchoReply));
+  text[at - 3] = 77;
+  reseal(text);
+  parsed = parse_checkpoint(text);
+  ASSERT_FALSE(parsed.state.has_value());
+  EXPECT_NE(parsed.error.find("record kind 77"), std::string::npos)
       << parsed.error;
 
   // A worker count outside the engine's 1..64 is refused by field name.
-  for (const char* threads : {"fp threads 0\n", "fp threads 65\n"}) {
-    std::string bad = serialize_checkpoint(sample_state());
-    const auto at = bad.find("fp threads 4\n");
-    ASSERT_NE(at, std::string::npos);
-    bad.replace(at, std::string_view{"fp threads 4\n"}.size(), threads);
-    auto rejected = parse_checkpoint(bad);
-    ASSERT_FALSE(rejected.state.has_value()) << threads;
-    EXPECT_NE(rejected.error.find("'threads'"), std::string::npos)
-        << rejected.error;
+  for (const int threads : {0, 65}) {
+    CheckpointState bad = sample_state();
+    bad.fingerprint.threads = threads;
+    expect_refused(bad, "'threads'");
   }
+
+  CheckpointState bad = sample_state();
+  bad.metrics.entries[0].kind = static_cast<obs::MetricKind>(9);
+  expect_refused(bad, "metrics kind 9");
+
+  bad = sample_state();
+  bad.cursors.pop_back();  // 3 cursors for fp threads 4
+  expect_refused(bad, "'cursors'");
+
+  bad = sample_state();
+  bad.records[1].worker = 4;  // outside [0, 4)
+  expect_refused(bad, "'record worker'");
 }
 
 TEST(Fingerprint, DiffNamesEveryMismatchedField) {
@@ -332,6 +384,11 @@ TEST(CheckpointIo, WriteAndLoadRoundTrip) {
   auto missing = load_checkpoint(path + ".missing");
   EXPECT_FALSE(missing.state.has_value());
   EXPECT_FALSE(missing.error.empty());
+
+  // A directory is refused like a missing file, not sized from its stat.
+  auto directory = load_checkpoint(::testing::TempDir());
+  EXPECT_FALSE(directory.state.has_value());
+  EXPECT_FALSE(directory.error.empty());
 }
 
 }  // namespace

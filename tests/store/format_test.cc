@@ -193,10 +193,10 @@ TEST(StoreFormat, VersionMismatchIsPreciselyDiagnosed) {
   std::string err;
   ASSERT_TRUE(parse_header(image.data(), image.size(), &hdr, &err)) << err;
   const std::size_t payload = image.size() - kTrailerBytes;
-  const std::uint64_t sum = fnv1a(image.data(), payload);
+  const std::uint64_t sum = net::fnv1a(image.data(), payload);
   std::string trailer;
-  put_u64(trailer, sum);
-  put_u64(trailer, payload);
+  net::put_u64(trailer, sum);
+  net::put_u64(trailer, payload);
   trailer.append(kEndMagic, sizeof kEndMagic);
   image.replace(payload, kTrailerBytes, trailer);
 
@@ -224,28 +224,28 @@ TEST(StoreFormat, VarintsRejectOverrunsAndOverlongEncodings) {
   const char overrun[] = {static_cast<char>(0x80)};
   std::size_t pos = 0;
   std::uint64_t v64 = 0;
-  EXPECT_FALSE(get_varint64(overrun, sizeof overrun, &pos, &v64));
+  EXPECT_FALSE(net::get_varint64(overrun, sizeof overrun, &pos, &v64));
   // Over-long: 11 continuation groups cannot encode a u64.
   std::string overlong(10, static_cast<char>(0x80));
   overlong.push_back(0x01);
   pos = 0;
-  EXPECT_FALSE(get_varint64(overlong.data(), overlong.size(), &pos, &v64));
+  EXPECT_FALSE(net::get_varint64(overlong.data(), overlong.size(), &pos, &v64));
   // Round-trip at the extremes.
   for (std::uint64_t val : {0ULL, 1ULL, 127ULL, 128ULL, ~0ULL}) {
     std::string buf;
-    put_varint64(buf, val);
+    net::put_varint64(buf, val);
     pos = 0;
-    ASSERT_TRUE(get_varint64(buf.data(), buf.size(), &pos, &v64));
+    ASSERT_TRUE(net::get_varint64(buf.data(), buf.size(), &pos, &v64));
     EXPECT_EQ(v64, val);
     EXPECT_EQ(pos, buf.size());
   }
   for (const Uint128 val :
        {Uint128{}, Uint128{127}, Uint128{1, 0}, Uint128::max()}) {
     std::string buf;
-    put_varint128(buf, val);
+    net::put_varint128(buf, val);
     pos = 0;
     Uint128 v128{};
-    ASSERT_TRUE(get_varint128(buf.data(), buf.size(), &pos, &v128));
+    ASSERT_TRUE(net::get_varint128(buf.data(), buf.size(), &pos, &v128));
     EXPECT_EQ(v128, val);
   }
 }

@@ -9,13 +9,14 @@
 
 #include "netbase/ipv6.h"
 #include "netbase/random.h"
-#include "topology/prefix_map.h"
+#include "netbase/prefix_map.h"
 
 namespace xmap::topo {
 namespace {
 
 using net::Ipv6Address;
 using net::Ipv6Prefix;
+using net::PrefixMap;
 using net::Rng;
 using net::Uint128;
 

@@ -1,4 +1,4 @@
-#include "topology/prefix_map.h"
+#include "netbase/prefix_map.h"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@ namespace {
 
 using net::Ipv6Address;
 using net::Ipv6Prefix;
+using net::PrefixMap;
 
 Ipv6Prefix pfx(const char* text) { return *Ipv6Prefix::parse(text); }
 Ipv6Address addr(const char* text) { return *Ipv6Address::parse(text); }

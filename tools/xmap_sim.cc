@@ -656,14 +656,8 @@ int main(int argc, char** argv) {
     state.quiescent = true;
     state.signal = shutdown.signal();
     state.stats = result.stats;
-    for (const auto& cursor : result.cursors) {
-      state.cursors.push_back(
-          recover::WorkerCursor{cursor.spec_steps, cursor.frontier_slot});
-    }
-    for (const auto& record : result.records) {
-      state.records.push_back(recover::CheckpointRecord{
-          record.response, record.when, record.worker, record.raw_slot});
-    }
+    state.cursors = std::move(result.cursors);
+    state.records = std::move(result.records);
     state.has_obs = true;
     state.trace = result.trace;
     state.metrics = result.metrics_snapshot;
