@@ -1,6 +1,7 @@
 #include "store/cli.h"
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -64,7 +65,16 @@ void print_record(std::ostream& out, const Snapshot& snap, const Record& r) {
       << "vendors: " << snap.vendor_count() << "\n"
       << "config fingerprint: " << h.config_fingerprint << "\n"
       << "git sha: " << snap.git_sha() << "\n"
-      << "file bytes: " << snap.file_bytes() << "\n";
+      << "file bytes: " << snap.file_bytes() << "\n"
+      << "restart index: " << snap.restart_index_bytes() << " bytes in RAM";
+  if (h.record_count > 0) {
+    char per_record[32];
+    std::snprintf(per_record, sizeof per_record, " (%.2f B/record)",
+                  static_cast<double>(snap.restart_index_bytes()) /
+                      static_cast<double>(h.record_count));
+    out << per_record;
+  }
+  out << "\n";
   return kExitOk;
 }
 

@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -130,9 +129,14 @@ std::string Snapshot::validate_and_index() {
   }
 
   // Block index: per-block checksums, monotone keys, count agreement.
+  if (header_.block_count > 0xffffffffULL) {
+    return "header declares " + std::to_string(header_.block_count) +
+           " blocks (limit 2^32 - 1)";
+  }
   index_.clear();
   index_.reserve(header_.block_count);
   std::uint64_t records_seen = 0;
+  std::uint64_t restart_count = 0;
   for (std::uint64_t b = 0; b < header_.block_count; ++b) {
     const BlockInfo info =
         parse_index_entry(data_ + header_.index_offset + b * kIndexEntryBytes);
@@ -154,6 +158,8 @@ std::string Snapshot::validate_and_index() {
              "not sorted)";
     }
     records_seen += info.record_count;
+    restart_count +=
+        (info.record_count + kRestartInterval - 1) / kRestartInterval;
     index_.push_back(info);
   }
   if (records_seen != header_.record_count) {
@@ -165,17 +171,28 @@ std::string Snapshot::validate_and_index() {
   // Full structural decode: proves every record parses and keys are strictly
   // increasing across the whole file, so the query path never sees a decode
   // failure. Blocks already passed their checksums, so any failure here is a
-  // writer bug rather than bit rot — still refuse to load.
-  net::Ipv6Address last_key;
+  // writer bug rather than bit rot — still refuse to load. The same pass
+  // records the restart index.
+  restart_keys_.clear();
+  restarts_.clear();
+  restart_keys_.reserve(restart_count);
+  restarts_.reserve(restart_count);
+  net::Uint128 key{};
   bool have_last = false;
   for (std::size_t b = 0; b < index_.size(); ++b) {
     const BlockInfo& info = index_[b];
     const char* block = block_data(b);
     std::size_t pos = 0;
-    net::Ipv6Address prev;
     Record r;
     for (std::uint32_t i = 0; i < info.record_count; ++i) {
-      if (!decode_record(block, info.used_bytes, &pos, i == 0, &prev, &r)) {
+      const net::Uint128 last_key = key;
+      if (!decode_key(block, info.used_bytes, &pos, i == 0, &key)) {
+        return "block " + std::to_string(b) + " record " + std::to_string(i) +
+               " does not decode (inconsistent store)";
+      }
+      const std::size_t fields_at = pos;
+      r.key = net::Ipv6Address::from_value(key);
+      if (!decode_fields(block, info.used_bytes, &pos, &r)) {
         return "block " + std::to_string(b) + " record " + std::to_string(i) +
                " does not decode (inconsistent store)";
       }
@@ -183,13 +200,16 @@ std::string Snapshot::validate_and_index() {
         return "block " + std::to_string(b) +
                " first record disagrees with the index entry";
       }
-      if (have_last && !(last_key < r.key)) {
+      if (have_last && !(last_key < key)) {
         return "block " + std::to_string(b) + " record " + std::to_string(i) +
                " is out of order (store keys must be strictly increasing)";
       }
-      last_key = r.key;
       have_last = true;
-      max_key_ = r.key.value();
+      if (i % kRestartInterval == 0) {
+        restart_keys_.push_back(key);
+        restarts_.push_back({static_cast<std::uint32_t>(b),
+                             static_cast<std::uint32_t>(fields_at)});
+      }
     }
     if (pos != info.used_bytes) {
       return "block " + std::to_string(b) + " has " +
@@ -197,6 +217,7 @@ std::string Snapshot::validate_and_index() {
              " trailing bytes after the last record";
     }
   }
+  max_key_ = key;
 
   // Geo section -> entries + compiled LC-trie.
   {
@@ -287,43 +308,29 @@ std::string Snapshot::git_sha() const {
   return std::string{sha.data(), n};
 }
 
-std::size_t Snapshot::block_floor(const net::Ipv6Address& addr) const {
-  // First block whose first_key > addr, minus one.
-  const auto it = std::upper_bound(
-      index_.begin(), index_.end(), addr,
-      [](const net::Ipv6Address& a, const BlockInfo& b) {
-        return a < b.first_key;
-      });
-  if (it == index_.begin()) return 0;
-  return static_cast<std::size_t>(it - index_.begin()) - 1;
-}
-
 bool Snapshot::lookup(const net::Ipv6Address& key, Record* out) const {
-  if (index_.empty()) return false;
   const net::Uint128 target = key.value();
-  if (target > max_key_ || key < index_.front().first_key) return false;
-  const std::size_t b = block_floor(key);
-  const BlockInfo& info = index_[b];
-  const char* data = block_data(b);
-  // Key-only scan: decode each key, skip field bodies, and materialize the
-  // full record only on a match (load-time validation proved the block
-  // decodes, so failures here are unreachable but still bail out).
-  std::size_t pos = 0;
-  net::Uint128 k{};
-  for (std::uint32_t i = 0; i < info.record_count; ++i) {
-    if (XMAP_UNLIKELY(!decode_key(data, info.used_bytes, &pos, i == 0, &k))) {
-      return false;
-    }
-    if (k == target) {
-      out->key = key;
-      return decode_fields(data, info.used_bytes, &pos, out);
-    }
-    if (k > target) return false;  // keys are sorted: past the target
-    if (XMAP_UNLIKELY(!skip_fields(data, info.used_bytes, &pos))) {
+  if (restart_keys_.empty() || target > max_key_) return false;
+  const std::size_t r = restart_floor(target);
+  const Restart& at = restarts_[r];
+  const char* data = block_data(at.block);
+  const std::size_t used = index_[at.block].used_bytes;
+  // Key-only scan from the restart: decode each key, skip field bodies, and
+  // materialize the full record only on a match. The next restart's key
+  // exceeds the target, so this walks fewer than kRestartInterval records.
+  // decode_key fails only at the block's end (load-time validation proved
+  // the block decodes), where the target falls in a gap between blocks.
+  std::size_t pos = at.offset;
+  net::Uint128 k = restart_keys_[r];
+  while (k < target) {
+    if (!skip_fields(data, used, &pos) ||
+        !decode_key(data, used, &pos, false, &k)) {
       return false;
     }
   }
-  return false;
+  if (k != target) return false;  // keys are sorted: past the target
+  out->key = key;
+  return decode_fields(data, used, &pos, out);
 }
 
 }  // namespace xmap::store

@@ -2,17 +2,23 @@
 //
 // A Snapshot validates the entire file once at load — header, version,
 // trailer (truncation), whole-file and per-block checksums, index
-// monotonicity and a full structural decode of every record — and refuses
-// to open anything inconsistent with a precise diagnostic (the
-// recover-style "stored X, computed Y" form). After load the query path is
-// infallible and allocation-free: point lookups binary-search the block
-// index and delta-decode one block on the stack; prefix attribution goes
-// through the netbase LC-trie compiled once at load (its arrays ride the
-// thread-local BytePool) and shared read-only across any number of query
-// threads. Snapshots are immutable; concurrent readers need no locks
-// (asserted TSan-clean by tests/store/concurrent_test.cc).
+// monotonicity and a full structural decode of every record — and refuses to
+// open anything inconsistent with a precise diagnostic (the recover-style
+// "stored X, computed Y" form). The same decode pass builds an in-memory
+// restart index: every kRestartInterval-th record of each block contributes
+// its key and the block offset at which decoding can resume (24 B per entry,
+// so ~1.5 B of RAM per record in full 4 KiB blocks). The file format knows
+// nothing of it. After load the query path is infallible and
+// allocation-free: point lookups binary-search the restart keys and key-scan
+// at most kRestartInterval records; prefix scans seek their low end through
+// the same index; prefix attribution goes through the netbase LC-trie
+// compiled once at load (its arrays ride the thread-local BytePool) and
+// shared read-only across any number of query threads. Snapshots are
+// immutable; concurrent readers need no locks (asserted TSan-clean by
+// tests/store/concurrent_test.cc).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -62,39 +68,42 @@ class Snapshot {
   // Returns the number visited. Allocation-free apart from the callback.
   template <typename Fn>
   std::uint64_t scan_prefix(const net::Ipv6Prefix& prefix, Fn&& fn) const {
-    if (index_.empty()) return 0;
+    if (restart_keys_.empty()) return 0;
     const net::Uint128 lo = prefix.address().value();
     const net::Uint128 hi =
         prefix.length() == 0
             ? net::Uint128::max()
             : lo | ~(net::Uint128::max() << (128 - prefix.length()));
     std::uint64_t visited = 0;
-    for (std::size_t b = block_floor(net::Ipv6Address::from_value(lo));
-         b < index_.size() && index_[b].first_key.value() <= hi; ++b) {
-      decode_block(b, [&](const Record& r) {
-        const net::Uint128 k = r.key.value();
-        if (k >= lo && k <= hi) {
-          ++visited;
-          fn(r);
-        }
-        return k <= hi;  // stop once past the range
-      });
-    }
+    walk_from(restart_floor(lo), [&](const Record& r) {
+      const net::Uint128 k = r.key.value();
+      if (k > hi) return false;  // past the range
+      if (k >= lo) {
+        ++visited;
+        fn(r);
+      }
+      return true;
+    });
     return visited;
   }
 
   // Visits every record in key order; returns the count.
   template <typename Fn>
   std::uint64_t for_each(Fn&& fn) const {
+    if (restart_keys_.empty()) return 0;
     std::uint64_t visited = 0;
-    for (std::size_t b = 0; b < index_.size(); ++b) {
-      decode_block(b, [&](const Record& r) {
-        ++visited;
-        fn(r);
-        return true;
-      });
-    }
+    walk_from(0, [&](const Record& r) {
+      ++visited;
+      fn(r);
+      return true;
+    });
     return visited;
+  }
+
+  // RAM held by the restart index (the file does not store it).
+  [[nodiscard]] std::size_t restart_index_bytes() const {
+    return restart_keys_.capacity() * sizeof(net::Uint128) +
+           restarts_.capacity() * sizeof(Restart);
   }
 
   // Longest-prefix attribution of an address against the geo section
@@ -155,33 +164,60 @@ class Snapshot {
   // Validates the mapped bytes; fills all members. Returns "" or an error.
   [[nodiscard]] std::string validate_and_index();
 
-  // Index of the last block whose first_key is <= addr (0 when addr
-  // precedes everything — the caller's decode loop rejects by key).
-  [[nodiscard]] std::size_t block_floor(const net::Ipv6Address& addr) const;
+  // Every kRestartInterval-th record of each block (its first included)
+  // is a restart point: decoding can resume there without the deltas
+  // before it, so a seek key-scans at most this many records.
+  static constexpr std::uint32_t kRestartInterval = 16;
+
+  // Where a restart record's non-key fields start.
+  struct Restart {
+    std::uint32_t block;
+    std::uint32_t offset;  // byte offset within the block
+  };
+
+  // Index of the last restart whose key is <= key (0 when key precedes
+  // everything — callers reject by key).
+  [[nodiscard]] std::size_t restart_floor(const net::Uint128& key) const {
+    const auto it =
+        std::upper_bound(restart_keys_.begin(), restart_keys_.end(), key);
+    return it == restart_keys_.begin()
+               ? 0
+               : static_cast<std::size_t>(it - restart_keys_.begin()) - 1;
+  }
 
   [[nodiscard]] const char* block_data(std::size_t b) const {
     return data_ + kHeaderBytes +
            b * static_cast<std::size_t>(header_.block_bytes);
   }
 
-  // Decodes block `b` in order, calling fn(record); fn returns false to
-  // stop early. Load-time validation proved the block well-formed, so
-  // decode failures cannot occur here; the loop still bounds-checks and
-  // stops defensively.
+  // Decodes records in key order from restart `r` to the end of the store,
+  // calling fn(record); fn returns false to stop. Load-time validation
+  // proved every block well-formed, so decode failures cannot occur here;
+  // the loop still bounds-checks and stops defensively.
   template <typename Fn>
-  void decode_block(std::size_t b, Fn&& fn) const {
-    const BlockInfo& info = index_[b];
-    const char* data = block_data(b);
-    std::size_t pos = 0;
-    net::Ipv6Address prev;
-    Record r;
-    for (std::uint32_t i = 0; i < info.record_count; ++i) {
-      if (XMAP_UNLIKELY(
-              !decode_record(data, info.used_bytes, &pos, i == 0, &prev,
-                             &r))) {
-        return;
+  void walk_from(std::size_t r, Fn&& fn) const {
+    const Restart& at = restarts_[r];
+    std::size_t pos = at.offset;
+    Record rec;
+    rec.key = net::Ipv6Address::from_value(restart_keys_[r]);
+    if (XMAP_UNLIKELY(!decode_fields(block_data(at.block),
+                                     index_[at.block].used_bytes, &pos,
+                                     &rec)) ||
+        !fn(static_cast<const Record&>(rec))) {
+      return;
+    }
+    net::Ipv6Address prev = rec.key;
+    for (std::size_t b = at.block; b < index_.size(); ++b, pos = 0) {
+      const std::size_t used = index_[b].used_bytes;
+      const char* data = block_data(b);
+      while (pos < used) {
+        // A block's first record (pos 0) carries its key verbatim.
+        if (XMAP_UNLIKELY(
+                !decode_record(data, used, &pos, pos == 0, &prev, &rec)) ||
+            !fn(static_cast<const Record&>(rec))) {
+          return;
+        }
       }
-      if (!fn(static_cast<const Record&>(r))) return;
     }
   }
 
@@ -195,6 +231,10 @@ class Snapshot {
   FileHeader header_;
   net::Uint128 max_key_{};  // last key in the file (O(1) miss reject)
   std::vector<BlockInfo> index_;
+  // Restart index, built by validate_and_index: sorted keys and, in
+  // parallel, where each one's record resumes.
+  std::vector<net::Uint128> restart_keys_;
+  std::vector<Restart> restarts_;
   std::vector<GeoEntry> geo_;
   net::PrefixMap<std::uint32_t> geo_trie_;
   std::vector<std::string> vendors_;

@@ -9,7 +9,9 @@ namespace xmap::topo {
 namespace {
 
 SpecLoadResult fail(std::string message) {
-  return SpecLoadResult{std::nullopt, std::move(message)};
+  SpecLoadResult result;
+  result.error = std::move(message);
+  return result;
 }
 
 VendorId vendor_by_name(const std::vector<VendorProfile>& vendors,

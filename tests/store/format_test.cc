@@ -67,7 +67,9 @@ TEST(StoreFormat, RoundTripPreservesEveryRecord) {
   std::uint64_t seen = 0;
   net::Uint128 prev{};
   snap.for_each([&](const Record& r) {
-    if (seen > 0) EXPECT_LT(prev, r.key.value());
+    if (seen > 0) {
+      EXPECT_LT(prev, r.key.value());
+    }
     prev = r.key.value();
     ++seen;
   });

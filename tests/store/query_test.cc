@@ -60,6 +60,43 @@ std::unique_ptr<Snapshot> make_snapshot(
   return std::move(loaded.snapshot);
 }
 
+// Fixed-width records: keys base + 3i (1-byte deltas, so key +/- 1 is never
+// stored), probe_dst == key and two 9-byte varints. A block's first record
+// then encodes in 41 bytes and every later one in 26, so a block of
+// 41 + 26 * (n - 1) bytes holds exactly n records.
+constexpr std::size_t kFirstRecordBytes = 41;
+constexpr std::size_t kRecordBytes = 26;
+constexpr std::uint64_t kKeyBaseLo = 0x1000;
+
+std::uint32_t block_bytes_for(std::size_t per_block) {
+  return static_cast<std::uint32_t>(kFirstRecordBytes +
+                                    kRecordBytes * (per_block - 1));
+}
+
+std::vector<Record> fixed_width_records(std::size_t n) {
+  std::vector<Record> records(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Record& r = records[i];
+    r.key = Ipv6Address::from_value(
+        Uint128{0x2001'0db8'0000'0000ULL, kKeyBaseLo + 3 * i});
+    r.probe_dst = r.key;
+    r.kind = static_cast<std::uint8_t>(i % 7);
+    r.hop_limit = static_cast<std::uint8_t>(i);
+    r.responses = (1ULL << 62) + i;
+    r.first_us = (1ULL << 62) + 2 * i;
+  }
+  return records;
+}
+
+std::unique_ptr<Snapshot> snapshot_of(const std::vector<Record>& records,
+                                      std::uint32_t block_bytes) {
+  StoreBuilder builder{block_bytes};
+  for (const auto& r : records) builder.add(r);
+  auto loaded = Snapshot::from_buffer(builder.serialize());
+  EXPECT_TRUE(loaded.snapshot) << loaded.error;
+  return std::move(loaded.snapshot);
+}
+
 // The equivalence property: for every probe address, the snapshot's
 // compiled-trie attribution equals a reference PrefixMap answering through
 // its uncompiled linear walk.
@@ -166,6 +203,114 @@ TEST(StoreQuery, ScanPrefixVisitsExactlyTheCoveredKeys) {
         prefix, [&](const Record& r) { got.insert(r.key.value()); });
     EXPECT_EQ(n, expect.size()) << "/" << len;
     EXPECT_EQ(got, expect) << "/" << len;
+  }
+  // Prefixes anchored on keys at known block positions (17 records per
+  // block): block starts, restart points and keys in between, so `lo`
+  // lands mid-block and between restarts.
+  const std::vector<Record> records = fixed_width_records(200);
+  auto fixed = snapshot_of(records, block_bytes_for(17));
+  ASSERT_EQ(fixed->block_count(), 12u);
+  const std::size_t anchors[] = {0, 5, 15, 16, 17, 20, 33, 50, 101, 199};
+  for (const std::size_t at : anchors) {
+    for (int len : {128, 126, 124, 120, 116}) {
+      const Ipv6Prefix prefix{records[at].key, len};
+      std::vector<Uint128> expect;
+      for (const auto& r : records) {
+        if (prefix.contains(r.key)) expect.push_back(r.key.value());
+      }
+      std::vector<Uint128> got;
+      const std::uint64_t n = fixed->scan_prefix(
+          prefix, [&](const Record& r) { got.push_back(r.key.value()); });
+      EXPECT_EQ(n, expect.size()) << "key " << at << " /" << len;
+      EXPECT_EQ(got, expect) << "key " << at << " /" << len;
+    }
+  }
+}
+
+// Point lookups through the restart index agree with the sequential Cursor
+// for every stored key, and miss everywhere else.
+void check_lookups_match_cursor(const Snapshot& snap) {
+  std::set<Uint128> stored;
+  std::vector<Record> sequential;
+  Snapshot::Cursor cursor{snap};
+  Record want;
+  while (cursor.next(&want)) {
+    stored.insert(want.key.value());
+    sequential.push_back(want);
+    Record got;
+    ASSERT_TRUE(snap.lookup(want.key, &got)) << want.key.to_string();
+    EXPECT_EQ(got, want) << want.key.to_string();
+  }
+  ASSERT_EQ(stored.size(), snap.record_count());
+  std::vector<Record> walked;
+  snap.for_each([&](const Record& r) { walked.push_back(r); });
+  EXPECT_TRUE(walked == sequential);
+
+  Record scratch;
+  const auto misses = [&](const Uint128& k) {
+    return stored.count(k) == 0 &&
+           !snap.lookup(Ipv6Address::from_value(k), &scratch);
+  };
+  for (const Uint128& k : stored) {
+    if (stored.count(k - Uint128{1}) == 0) {
+      EXPECT_TRUE(misses(k - Uint128{1}));
+    }
+    if (stored.count(k + Uint128{1}) == 0) {
+      EXPECT_TRUE(misses(k + Uint128{1}));
+    }
+  }
+  if (!stored.empty()) {
+    EXPECT_TRUE(misses(*stored.begin() - Uint128{1}));  // below the first
+    EXPECT_TRUE(misses(*stored.rbegin() + Uint128{1}));  // above the last
+    EXPECT_TRUE(misses(Uint128{}));
+    EXPECT_TRUE(misses(Uint128::max()));
+  }
+}
+
+TEST(StoreQuery, LookupMatchesSequentialScan) {
+  // Exact per-block record counts: the 256-byte minimum block (9 records),
+  // 15, 16 and 17 (either side of the restart interval) and 33.
+  struct Shape {
+    std::size_t per_block;
+    std::uint32_t block_bytes;
+  };
+  const Shape shapes[] = {{9, 256},
+                          {15, block_bytes_for(15)},
+                          {16, block_bytes_for(16)},
+                          {17, block_bytes_for(17)},
+                          {33, block_bytes_for(33)}};
+  for (const Shape& shape : shapes) {
+    const std::size_t per = shape.per_block;
+    // One record alone, one short of a block, exactly one and two blocks,
+    // and counts that leave a one-record last block.
+    for (std::size_t n : {std::size_t{1}, per - 1, per, per + 1, 2 * per,
+                          2 * per + 1, 5 * per + 7, std::size_t{500}}) {
+      SCOPED_TRACE("per_block " + std::to_string(per) + " records " +
+                   std::to_string(n));
+      auto snap = snapshot_of(fixed_width_records(n), shape.block_bytes);
+      ASSERT_TRUE(snap);
+      ASSERT_EQ(snap->block_count(), (n + per - 1) / per);
+      check_lookups_match_cursor(*snap);
+    }
+  }
+  // Variable-width records: random 128-bit keys at several block sizes.
+  Rng rng{77};
+  std::vector<Ipv6Address> keys;
+  for (int i = 0; i < 3000; ++i) keys.push_back(random_addr(rng));
+  for (std::uint32_t block_bytes : {256u, 512u, 1024u, 4096u}) {
+    SCOPED_TRACE("random keys, block_bytes " + std::to_string(block_bytes));
+    std::vector<Record> records;
+    for (const auto& key : keys) {
+      Record r;
+      r.key = key;
+      r.probe_dst = random_addr(rng);
+      r.responses = rng.next() % 1000;
+      r.first_us = rng.next();
+      records.push_back(r);
+    }
+    auto snap = snapshot_of(records, block_bytes);
+    ASSERT_TRUE(snap);
+    check_lookups_match_cursor(*snap);
   }
 }
 
