@@ -496,9 +496,12 @@ TEST(TcpFabric, FingerprintMismatchRefusedWithStoredAndComputed) {
 // heartbeat timeout, so the coordinator declares it dead and migrates its
 // lease first. The late rejoin — proving a now-stale epoch — is refused
 // and the worker is fenced; the merge stays byte-identical. The shard
-// count is sized so the survivor is still grinding when the zombie knocks.
+// count is sized so the survivor is still grinding when the zombie knocks
+// ~150 ms after the cut: one node clears 0.7-1.1 ms of shard round trips
+// per shard, so 1024 shards keep it busy for 0.7 s or more. At 192 the
+// survivor could finish first and the knock never came.
 TEST(TcpFabric, ZombieRejoinRefusedWithStaleEpoch) {
-  const int kShards = 192;
+  const int kShards = 1024;
   auto cfg = make_tcp_config(2, kShards);
   cfg.heartbeat_interval_ms = 10;
   cfg.heartbeat_timeout_ms = 100;
