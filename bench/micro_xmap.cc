@@ -1,15 +1,14 @@
 // Micro-benchmarks (google-benchmark): the scanner's hot paths — cyclic
 // group permutation, target/probe construction, packet codec, checksum and
 // longest-prefix-match lookups — plus the linear-vs-permuted ablation
-// DESIGN.md calls out.
+// DESIGN.md calls out. A developer tool: no CI step reads its numbers;
+// end-to-end scan speed is gated by perfbench (tools/perf_gate.py).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
-#include "bench/common.h"
 #include "netbase/checksum.h"
 #include "netbase/random.h"
 #include "topology/routing_table.h"
@@ -182,93 +181,6 @@ void BM_AddressFormat(benchmark::State& state) {
 }
 BENCHMARK(BM_AddressFormat);
 
-// Hand-timed versions of the headline kernels for BENCH_micro_xmap.json:
-// independent of the benchmark library's reporter API, so the regression
-// checker sees a stable schema.
-void write_bench_json() {
-  using Clock = std::chrono::steady_clock;
-  const auto src = *net::Ipv6Address::parse("2001:500::1");
-  const auto spec = *scan::TargetSpec::parse("2400::/8-40");
-  scan::IcmpEchoProbe module{64};
-  constexpr int kIters = 400000;
-
-  auto throughput = [&](auto&& body) {
-    // One warm-up pass (pool + caches), then the timed pass.
-    for (int rep = 0; rep < 2; ++rep) {
-      const auto t0 = Clock::now();
-      std::uint64_t sink = 0;
-      net::Uint128 i{0};
-      for (int k = 0; k < kIters; ++k) {
-        sink += body(spec.nth_address(i, 7));
-        i += net::Uint128{1};
-      }
-      benchmark::DoNotOptimize(sink);
-      if (rep == 1) {
-        return kIters / std::chrono::duration<double>(Clock::now() - t0)
-                            .count();
-      }
-    }
-    return 0.0;
-  };
-
-  xmap::bench::BenchJson json{"micro_xmap"};
-  json.add("build_echo_probe_per_sec", throughput([&](const auto& target) {
-             return module.make_probe(src, target, 7).size();
-           }),
-           "probes/s");
-  scan::ProbeTemplate tmpl = module.make_template(src, 7);
-  json.add("patch_echo_probe_per_sec", throughput([&](const auto& target) {
-             module.patch_probe(tmpl, src, target, 7);
-             return tmpl.frame().size();
-           }),
-           "probes/s");
-  std::vector<std::uint8_t> buf(1280, 0xa5);
-  json.add("checksum_1280_per_sec", throughput([&](const auto&) {
-             return static_cast<std::size_t>(net::internet_checksum(buf));
-           }),
-           "checksums/s");
-  // SIMD-path checksum throughput, preceded by an equality sweep pinning
-  // the dispatched path to the byte-pair reference over random contents,
-  // odd lengths and unaligned starts. An abort here beats a silently wrong
-  // wire checksum in every probe.
-  {
-    net::Rng rng{0x51u};
-    std::vector<std::uint8_t> rbuf(1400);
-    for (auto& b : rbuf) b = static_cast<std::uint8_t>(rng.next());
-    for (const std::size_t off : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{3}, std::size_t{17}}) {
-      for (const std::size_t len :
-           {std::size_t{64}, std::size_t{127}, std::size_t{128},
-            std::size_t{256}, std::size_t{1279}, std::size_t{1280}}) {
-        const std::span<const std::uint8_t> s{rbuf.data() + off, len};
-        const std::uint16_t fast =
-            net::checksum_finish(net::checksum_accumulate(s));
-        const std::uint16_t ref =
-            net::checksum_finish(net::checksum_accumulate_reference(s));
-        if (fast != ref) {
-          std::fprintf(stderr,
-                       "checksum SIMD/reference mismatch off=%zu len=%zu\n",
-                       off, len);
-          std::abort();
-        }
-      }
-    }
-  }
-  json.add("checksum_1280_simd_per_sec", throughput([&](const auto&) {
-             return static_cast<std::size_t>(
-                 net::checksum_fold(net::checksum_accumulate(buf)));
-           }),
-           "checksums/s");
-  json.write();
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  write_bench_json();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -6,11 +6,6 @@
 
 #include "netbase/compiler.h"
 
-#if defined(__x86_64__) || defined(__i386__)
-#define XMAP_CHECKSUM_X86 1
-#include <immintrin.h>
-#endif
-
 namespace xmap::net {
 namespace {
 
@@ -40,46 +35,10 @@ XMAP_ALWAYS_INLINE std::uint16_t fold16(std::uint32_t acc) {
   return static_cast<std::uint16_t>(acc);
 }
 
-#ifdef XMAP_CHECKSUM_X86
-// AVX2 kernel over a multiple-of-64-byte block. Lanes accumulate the
-// buffer's *little-endian* 32-bit words — the ones-complement sum is
-// byte-order independent up to a final byte swap (RFC 1071 §2B): for a
-// 16-bit x, bswap16(x) == 256*x mod 0xffff, so the swap cancels when
-// applied to the folded sum. Returns a folded 32-bit network-order
-// accumulator combined with `acc`; congruent to the reference mod 0xffff
-// and zero only when the reference is zero (a plain sum of non-negative
-// lanes is zero iff every byte is).
-__attribute__((target("avx2"))) std::uint32_t accumulate_avx2_blocks(
-    const std::uint8_t* p, std::size_t n, std::uint32_t acc) {
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  const __m256i zero = _mm256_setzero_si256();
-  for (; n >= 64; p += 64, n -= 64) {
-    const __m256i v0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-    const __m256i v1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 32));
-    // Widen each 32-bit word to a 64-bit lane (interleave order is
-    // irrelevant to a sum); 64-bit lanes cannot overflow for any real
-    // packet length.
-    acc0 = _mm256_add_epi64(acc0, _mm256_unpacklo_epi32(v0, zero));
-    acc1 = _mm256_add_epi64(acc1, _mm256_unpackhi_epi32(v0, zero));
-    acc0 = _mm256_add_epi64(acc0, _mm256_unpacklo_epi32(v1, zero));
-    acc1 = _mm256_add_epi64(acc1, _mm256_unpackhi_epi32(v1, zero));
-  }
-  acc0 = _mm256_add_epi64(acc0, acc1);
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc0);
-  std::uint64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  std::uint32_t le = fold64(sum);
-  while (le >> 16) le = (le & 0xffff) + (le >> 16);
-  const std::uint32_t be = (le >> 8) | ((le & 0xff) << 8);
-  return fold64(static_cast<std::uint64_t>(acc) + be);
-}
-#endif  // XMAP_CHECKSUM_X86
+}  // namespace
 
-std::uint32_t accumulate_words(std::span<const std::uint8_t> data,
-                               std::uint32_t acc) {
+std::uint32_t checksum_accumulate(std::span<const std::uint8_t> data,
+                                  std::uint32_t acc) {
   // Word-at-a-time RFC 1071: the ones-complement sum is invariant under
   // word size, so eight bytes are added as one 64-bit network-order word
   // with end-around carry, then folded back down. Semantics match the
@@ -129,23 +88,6 @@ std::uint32_t accumulate_words(std::span<const std::uint8_t> data,
   }
   if (n > 0) tail += static_cast<std::uint32_t>(p[0]) << 8;
   return fold64(tail);
-}
-
-}  // namespace
-
-std::uint32_t checksum_accumulate(std::span<const std::uint8_t> data,
-                                  std::uint32_t acc) {
-#ifdef XMAP_CHECKSUM_X86
-  // Resolved once per process; below ~2 cache lines the vector setup and
-  // horizontal fold cost more than the scalar 64-bit unroll saves.
-  static const bool kHasAvx2 = __builtin_cpu_supports("avx2") != 0;
-  if (kHasAvx2 && data.size() >= 128) {
-    const std::size_t blocks = data.size() & ~std::size_t{63};
-    acc = accumulate_avx2_blocks(data.data(), blocks, acc);
-    data = data.subspan(blocks);
-  }
-#endif
-  return accumulate_words(data, acc);
 }
 
 std::uint32_t checksum_accumulate_reference(std::span<const std::uint8_t> data,

@@ -11,16 +11,15 @@ namespace xmap::net {
 
 // Ones-complement sum of 16-bit words, returning the running 32-bit
 // accumulator (not yet folded/complemented). Odd trailing byte is padded
-// with zero per RFC 1071. Large buffers take a SIMD-widened path where the
-// CPU supports it; the accumulator is only guaranteed equal to the
-// reference modulo 0xffff (zero iff the reference is zero), which every
-// fold/finish consumer preserves.
+// with zero per RFC 1071. Eight bytes are added at a time as one 64-bit
+// word, so the accumulator is only guaranteed equal to the reference
+// modulo 0xffff (zero iff the reference is zero), which every fold/finish
+// consumer preserves.
 [[nodiscard]] std::uint32_t checksum_accumulate(std::span<const std::uint8_t> data,
                                                 std::uint32_t acc = 0);
 
-// Byte-pair RFC 1071 reference: no word tricks, no carry shortcuts, no
-// SIMD. The ground truth the property tests (and the SIMD equality asserts
-// in the micro bench) compare against.
+// Byte-pair RFC 1071 reference: no word tricks, no carry shortcuts. The
+// ground truth the property tests compare the word path against.
 [[nodiscard]] std::uint32_t checksum_accumulate_reference(
     std::span<const std::uint8_t> data, std::uint32_t acc = 0);
 

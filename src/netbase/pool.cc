@@ -1,83 +1,62 @@
 #include "netbase/pool.h"
 
-#include <atomic>
+#include <mutex>
+#include <vector>
 
 namespace xmap::net {
-namespace {
 
-// Process-lifetime graveyard: memory handed back by exiting threads and
-// adopted by later pools. Allocated once and never destroyed — keeps the
-// memory valid for any block that outlives its allocating thread, keeps it
-// reachable for leak checkers, and dodges static-destruction-order races
-// with main-thread thread_locals.
-struct Graveyard {
+// Process-lifetime graveyard: the arenas of exited threads, each waiting
+// whole for one later pool to adopt it. Allocated once and never destroyed
+// — keeps the memory valid for any block that outlives its allocating
+// thread, keeps it reachable for leak checkers, and dodges
+// static-destruction-order races with main-thread thread_locals.
+struct BytePool::Graveyard {
   std::mutex mu;
-  void* free_lists[32] = {};          // per size class, Block-layout
-  void* chunks = nullptr;             // retained arena chunks (never reused)
-  std::atomic<std::uint32_t> nonempty{0};  // bit c: free_lists[c] non-null
+  std::vector<Arena> arenas;
 };
 
-Graveyard& graveyard() {
-  static Graveyard* g = new Graveyard;
+BytePool::Graveyard& BytePool::graveyard() {
+  static auto* g = new Graveyard;
   return *g;
 }
 
-}  // namespace
+BytePool::BytePool() {
+  Graveyard& g = graveyard();
+  std::lock_guard lock{g.mu};
+  if (g.arenas.empty()) return;
+  a_ = g.arenas.back();
+  g.arenas.pop_back();
+  stats_.retained_bytes = a_.retained_bytes;
+}
+
+BytePool::~BytePool() {
+  a_.retained_bytes = stats_.retained_bytes;
+  bool empty = a_.chunks == nullptr;
+  for (const Block* b : a_.free) empty = empty && b == nullptr;
+  if (empty) return;
+  Graveyard& g = graveyard();
+  std::lock_guard lock{g.mu};
+  g.arenas.push_back(a_);
+}
 
 void BytePool::grab_chunk() {
-  // Adopt nothing here — chunks in the graveyard may contain live blocks
-  // from their previous owner and cannot be re-carved; fresh bump space
-  // always comes from the heap.
+  // Fresh bump space always comes from the heap: the bump remainder is the
+  // only free space inside a chunk, and it travels with the arena.
   void* p = ::operator new(kChunkBytes);
   ++stats_.heap_allocs;
   stats_.retained_bytes += kChunkBytes;
   Chunk* ch = static_cast<Chunk*>(p);
-  ch->next = chunks_;
-  chunks_ = ch;
-  bump_ = static_cast<std::uint8_t*>(p) + 16;  // skip the chunk header
-  bump_left_ = kChunkBytes - 16;
+  ch->next = a_.chunks;
+  a_.chunks = ch;
+  a_.bump = static_cast<std::uint8_t*>(p) + 16;  // skip the chunk header
+  a_.bump_left = kChunkBytes - 16;
 }
 
-void* BytePool::grab_large(int /*c*/, std::size_t csize) {
+void* BytePool::grab_large(std::size_t csize) {
   void* p = ::operator new(csize);
   ++stats_.heap_allocs;
   stats_.retained_bytes += csize;
   return p;
-}
-
-bool BytePool::adopt(int c) {
-  Graveyard& g = graveyard();
-  if ((g.nonempty.load(std::memory_order_relaxed) & (1u << c)) == 0) {
-    return false;
-  }
-  std::lock_guard lock{g.mu};
-  if (g.free_lists[c] == nullptr) return false;
-  free_[c] = static_cast<Block*>(g.free_lists[c]);
-  g.free_lists[c] = nullptr;
-  g.nonempty.fetch_and(~(1u << c), std::memory_order_relaxed);
-  return true;
-}
-
-BytePool::~BytePool() {
-  Graveyard& g = graveyard();
-  std::lock_guard lock{g.mu};
-  std::uint32_t mask = g.nonempty.load(std::memory_order_relaxed);
-  for (int c = 0; c < kClasses; ++c) {
-    while (free_[c] != nullptr) {
-      Block* b = free_[c];
-      free_[c] = b->next;
-      b->next = static_cast<Block*>(g.free_lists[c]);
-      g.free_lists[c] = b;
-      mask |= 1u << c;
-    }
-  }
-  while (chunks_ != nullptr) {
-    Chunk* ch = chunks_;
-    chunks_ = ch->next;
-    ch->next = static_cast<Chunk*>(g.chunks);
-    g.chunks = ch;
-  }
-  g.nonempty.store(mask, std::memory_order_relaxed);
 }
 
 }  // namespace xmap::net

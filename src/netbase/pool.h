@@ -13,11 +13,13 @@
 //    the allocating thread's pool.
 //  - Large blocks get an exact power-of-two allocation, recycled through
 //    the same per-class free lists.
-//  - When a thread exits, its chunks and free blocks move to a global
-//    graveyard; future threads (e.g. the next scan's workers) adopt them
-//    instead of hitting the heap. Pool memory is process-retained, so a
-//    rare block that outlives its allocating thread (none on the scan path
-//    today) stays valid — memory is never returned to the OS mid-process.
+//  - When a thread exits, its whole arena (free lists, chunks and bump
+//    remainder) moves to a global graveyard; a later thread (e.g. the next
+//    scan's worker) adopts one whole arena when its pool is created, so W
+//    exiting workers warm W successors. Pool memory is process-retained,
+//    so a rare block that outlives its allocating thread (none on the
+//    scan path today) stays valid — memory is never returned to the OS
+//    mid-process.
 //  - Blocks freed on a different thread than they were allocated on simply
 //    join the freeing thread's free list; safe because the backing chunks
 //    are never released.
@@ -32,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <new>
 #include <unordered_map>
 #include <unordered_set>
@@ -59,61 +60,39 @@ class BytePool {
     return pool;
   }
 
-  // While any instance is alive on this thread, allocate()/deallocate()
-  // fall through to the global heap. Benchmarks use it to reproduce the
-  // pre-pool allocation behaviour of the probe path; heap tools (ASan,
-  // valgrind, massif) see individual blocks again instead of recycled
-  // arena memory. Allocations must not cross the scope boundary in either
-  // direction. Nests.
-  class HeapFallbackScope {
-   public:
-    HeapFallbackScope() { ++local().bypass_; }
-    ~HeapFallbackScope() { --local().bypass_; }
-    HeapFallbackScope(const HeapFallbackScope&) = delete;
-    HeapFallbackScope& operator=(const HeapFallbackScope&) = delete;
-  };
-
   [[nodiscard]] void* allocate(std::size_t bytes) {
     ++stats_.alloc_calls;
-    if (XMAP_UNLIKELY(bypass_ != 0)) {
-      ++stats_.heap_allocs;
-      return ::operator new(bytes);
-    }
     const int c = class_for(bytes);
     if (XMAP_UNLIKELY(c >= kClasses)) {
       ++stats_.heap_allocs;
       return ::operator new(bytes);
     }
-    if (XMAP_LIKELY(free_[c] != nullptr) || adopt(c)) {
-      Block* b = free_[c];
-      free_[c] = b->next;
+    if (XMAP_LIKELY(a_.free[c] != nullptr)) {
+      Block* b = a_.free[c];
+      a_.free[c] = b->next;
       ++stats_.recycled;
       return b;
     }
     const std::size_t csize = std::size_t{1} << (c + kMinShift);
     if (csize <= kSmallMax) {
-      if (XMAP_UNLIKELY(bump_left_ < csize)) grab_chunk();
-      void* p = bump_;
-      bump_ += csize;
-      bump_left_ -= csize;
+      if (XMAP_UNLIKELY(a_.bump_left < csize)) grab_chunk();
+      void* p = a_.bump;
+      a_.bump += csize;
+      a_.bump_left -= csize;
       return p;
     }
-    return grab_large(c, csize);
+    return grab_large(csize);
   }
 
   void deallocate(void* p, std::size_t bytes) {
-    if (XMAP_UNLIKELY(bypass_ != 0)) {
-      ::operator delete(p);
-      return;
-    }
     const int c = class_for(bytes);
     if (XMAP_UNLIKELY(c >= kClasses)) {
       ::operator delete(p);
       return;
     }
     Block* b = static_cast<Block*>(p);
-    b->next = free_[c];
-    free_[c] = b;
+    b->next = a_.free[c];
+    a_.free[c] = b;
   }
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -121,7 +100,7 @@ class BytePool {
   ~BytePool();
 
  private:
-  BytePool() = default;
+  BytePool();  // adopts a graveyard arena, if any
   BytePool(const BytePool&) = delete;
   BytePool& operator=(const BytePool&) = delete;
 
@@ -136,23 +115,27 @@ class BytePool {
   struct Chunk {
     Chunk* next;
   };
+  // Everything a pool owns; the unit an exiting thread hands on.
+  struct Arena {
+    Block* free[kClasses] = {};
+    Chunk* chunks = nullptr;  // owned arena chunks (kept reachable)
+    std::uint8_t* bump = nullptr;
+    std::size_t bump_left = 0;
+    std::uint64_t retained_bytes = 0;  // Stats::retained_bytes at exit
+  };
 
   [[nodiscard]] static int class_for(std::size_t bytes) {
     const std::size_t n = bytes < 16 ? 16 : std::bit_ceil(bytes);
     return std::bit_width(n) - 1 - kMinShift;
   }
 
-  void grab_chunk();
-  void* grab_large(int c, std::size_t csize);
-  // Splices the graveyard's free list for class `c` into this pool;
-  // returns whether anything was adopted.
-  bool adopt(int c);
+  struct Graveyard;
+  [[nodiscard]] static Graveyard& graveyard();
 
-  Block* free_[kClasses] = {};
-  int bypass_ = 0;           // live HeapFallbackScope count on this thread
-  Chunk* chunks_ = nullptr;  // owned arena chunks (for graveyard handoff)
-  std::uint8_t* bump_ = nullptr;
-  std::size_t bump_left_ = 0;
+  void grab_chunk();
+  void* grab_large(std::size_t csize);
+
+  Arena a_;
   Stats stats_;
 };
 

@@ -43,12 +43,12 @@ TEST(ChecksumProperty, MatchesNaiveOnEveryLengthAndAlignment) {
   }
 }
 
-TEST(ChecksumProperty, SimdPathMatchesReferenceAccumulator) {
-  // Lengths chosen to straddle the SIMD dispatch threshold (128 bytes) and
-  // its 64-byte block granularity, crossed with unaligned starts and odd
-  // tails. The accumulators only have to agree mod 0xffff (and share
-  // zeroness) — compare folded and finished forms, plus a chained second
-  // region to catch a mis-combined carry-in.
+TEST(ChecksumProperty, WordPathMatchesReferenceAccumulator) {
+  // Lengths straddling the 32-byte unroll and 8-byte word granularity at
+  // every scale up to a page, crossed with unaligned starts and odd tails.
+  // The 64-bit word sums only have to agree with the byte-pair reference
+  // mod 0xffff (and share zeroness) — compare folded and finished forms,
+  // plus a chained second region to catch a mis-combined carry-in.
   Rng rng{0xbadcab1e};
   std::vector<std::uint8_t> buf(4096 + 64);
   for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());

@@ -14,16 +14,11 @@ entry's `direction` field ("higher" = bigger is better, "lower" = smaller
 is better, e.g. latencies and overheads); older files carry only the
 boolean `higher_is_better`, which is honoured as a fallback. The default
 threshold is deliberately loose (40%): CI runners are noisy and share
-hardware, so this is a smoke test for step-change regressions — a probe
-path that stops using its template, a checksum gone quadratic — not a
-micro-benchmark gate. Improvements and missing/extra metrics are reported
+hardware, so this is a smoke test for step-change regressions — a
+failover that rescans whole shards, a point lookup gone linear — not a
+micro-benchmark gate. End-to-end scan speed is gated by
+tools/perf_gate.py instead. Improvements and missing/extra metrics are reported
 but never fail the check.
-
---floor FILE:METRIC:VALUE (repeatable) additionally enforces an absolute
-bar on a current-run metric, independent of the baseline: a
-higher-is-better metric fails below VALUE, a lower-is-better metric fails
-above it. This is how acceptance bars ("the batched scan path must sustain
-at least N pps") ride the same CI step as the relative smoke check.
 
 Exit status: 0 = no regressions, 1 = at least one, 2 = usage/IO error.
 """
@@ -105,21 +100,7 @@ def main():
     parser.add_argument("--threshold", type=float, default=0.40,
                         help="max fractional move against the metric's "
                              "direction (default 0.40)")
-    parser.add_argument("--floor", action="append", default=[],
-                        metavar="FILE:METRIC:VALUE",
-                        help="absolute bar on a current-run metric, e.g. "
-                             "BENCH_hotpath_batching.json:"
-                             "sim_scan_batched_pps:1200000 (repeatable)")
     args = parser.parse_args()
-
-    floors = {}
-    for spec in args.floor:
-        try:
-            fname, metric, value = spec.rsplit(":", 2)
-            floors[(fname, metric)] = float(value)
-        except ValueError:
-            sys.exit(f"error: bad --floor {spec!r} "
-                     "(want FILE:METRIC:VALUE)")
 
     all_regressions = []
     for name, base_path, cur_path in file_pairs(args.baseline, args.current):
@@ -130,19 +111,6 @@ def main():
             sys.exit(f"error: {name}: {err}")
         all_regressions += [f"{name}:{m}" for m in
                             compare(name, baseline, current, args.threshold)]
-        for (fname, metric), value in sorted(floors.items()):
-            if fname != name:
-                continue
-            if metric not in current:
-                sys.exit(f"error: --floor {fname}:{metric}: metric not in "
-                         "current run")
-            cur, higher_is_better = current[metric]
-            ok = cur >= value if higher_is_better else cur <= value
-            bound = "floor" if higher_is_better else "ceiling"
-            print(f"   {metric}: {cur:.6g} vs absolute {bound} {value:.6g} "
-                  f"{'ok' if ok else 'FAILED'}")
-            if not ok:
-                all_regressions.append(f"{name}:{metric}<{bound}>")
 
     if all_regressions:
         print(f"\n{len(all_regressions)} regression(s): "
